@@ -230,33 +230,4 @@ void BM_StreamingReduceFanIn(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingReduceFanIn)->Arg(0)->Arg(4);
 
-// Device-residency bookkeeping on the DataCopy staging hot path, in a
-// device-off world (staging is tracker accounting only — no simulated
-// time). Arg 0: resident — stage once, every further stage_to_device is a
-// free residency hit (the owner-computes GEMM-chain steady state). Arg 1:
-// cold — stage + clean unstage per round trip (the eviction-thrash
-// pattern), paying the H2D/live-bytes books both ways.
-void BM_StagingCopy(benchmark::State& state) {
-  rt::WorldConfig cfg;
-  cfg.nranks = 1;
-  rt::World w(cfg);
-  linalg::Tile t(128, 128);
-  rt::DataCopy<linalg::Tile> c(w.data_tracker(), nullptr, w.comm(), 0,
-                               std::move(t));
-  const bool cold = state.range(0) != 0;
-  if (!cold) c.stage_to_device(0);
-  for (auto _ : state) {
-    if (cold) {
-      c.stage_to_device(0);
-      c.unstage();
-    } else {
-      benchmark::DoNotOptimize(c.stage_to_device(0));
-    }
-  }
-  c.unstage();
-  benchmark::DoNotOptimize(w.data_tracker().rank_stats(0).device_hits);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_StagingCopy)->Arg(0)->Arg(1);
-
 }  // namespace

@@ -7,7 +7,7 @@ real behavioral change, not measurement noise. Wall-clock rates
 (events/sec) are machine-dependent and get wide tolerances or are gated as
 ratios measured within one run.
 
-What is gated is declared by the *baseline* via an optional top-level
+What is gated is declared by the *baseline* via a required top-level
 "schema" object, so one script serves every bench:
 
     "schema": {
@@ -43,9 +43,7 @@ What is gated is declared by the *baseline* via an optional top-level
                 baseline pins "gpu-greedy beats cpu-only" structurally
                 instead of through drift-prone absolute values.
 
-Baselines without a "schema" use the legacy default (key nodes/backend,
-the historical exact-count list, makespan tolerance from --tolerance), so
-the fig5 / bspmm / serve_jobs baselines are gated exactly as before.
+A baseline without a "schema" is malformed and rejected.
 
 Every other top-level scalar is a config field the two documents must agree
 on. Exit code 0 = within bounds, 1 = regression/mismatch, 2 = usage error.
@@ -55,25 +53,6 @@ Only the Python standard library is used. Unit tests: ci/test_check_perf.py.
 import argparse
 import json
 import sys
-
-# Legacy exact-count list, used when the baseline declares no schema.
-# serializations/serialize_hits come from the DataCopy layer;
-# broadcast_forwards/am_batches/batched_msgs from the collective data plane;
-# reduce_forwards/reduce_combines from tree-routed streaming reductions;
-# intra/inter_node_hops classify payload-bearing tree hops against the
-# topology; jobs/job_messages/job_splitmd/cache_hits/cache_misses from the
-# multi-tenant serving bench; steals_local/steals_remote/steal_fail from
-# the work-stealing scheduler (zero unless --steal). Fields absent from
-# both documents compare equal, so older benches are unaffected.
-LEGACY_EXACT = (
-    "messages", "splitmd_sends", "serializations", "serialize_hits",
-    "broadcast_forwards", "am_batches", "batched_msgs", "reduce_forwards",
-    "reduce_combines", "intra_node_hops", "inter_node_hops", "jobs",
-    "job_messages", "job_splitmd", "cache_hits", "cache_misses",
-    "steals_local", "steals_remote", "steal_fail",
-)
-LEGACY_KEY = ("nodes", "backend")
-
 
 def normalize_tolerance(spec):
     """Expand shorthand tolerances to {"rel": float, "worse": "above"|"below"}."""
@@ -118,18 +97,12 @@ def normalize_relations(spec, key_fields):
     return out
 
 
-def load_schema(baseline_doc, default_tolerance):
+def load_schema(baseline_doc):
     raw = baseline_doc.get("schema")
-    if raw is None:
-        return {
-            "key": list(LEGACY_KEY),
-            "exact": list(LEGACY_EXACT),
-            "tolerance": normalize_tolerance({"makespan": default_tolerance}),
-            "floor": {},
-            "relations": [],
-        }
+    if not isinstance(raw, dict):
+        sys.exit("error: baseline has no 'schema' object")
     schema = {
-        "key": list(raw.get("key", LEGACY_KEY)),
+        "key": list(raw.get("key", ())),
         "exact": list(raw.get("exact", ())),
         "tolerance": normalize_tolerance(raw.get("tolerance", {})),
         "floor": dict(raw.get("floor", {})),
@@ -214,13 +187,10 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("current", help="freshly produced BENCH_*.json")
     ap.add_argument("baseline", help="checked-in baseline JSON")
-    ap.add_argument("--tolerance", type=float, default=0.15,
-                    help="legacy makespan tolerance, used only when the "
-                         "baseline declares no schema (default 0.15)")
     args = ap.parse_args()
 
     with open(args.baseline) as f:
-        schema = load_schema(json.load(f), args.tolerance)
+        schema = load_schema(json.load(f))
 
     base_doc, base = load_points(args.baseline, schema["key"])
     cur_doc, cur = load_points(args.current, schema["key"])

@@ -6,11 +6,10 @@
 # behavioral change), and commit the result. CI gates each bench's fresh
 # JSON against these files via ci/check_perf.py.
 #
-# Baselines that carry a top-level "schema" object (what check_perf gates:
-# key/exact/tolerance/floor fields) keep it: the bench tools emit plain
-# result JSON, and this script re-attaches the existing baseline's schema to
-# the fresh output. Baselines without a schema are replaced verbatim and are
-# gated with check_perf's legacy defaults.
+# Every baseline carries a top-level "schema" object (what check_perf gates:
+# key/exact/tolerance/floor fields). The bench tools emit plain result JSON,
+# and this script re-attaches the existing baseline's schema to the fresh
+# output.
 #
 # Usage: ci/refresh_baselines.sh [build-dir]   (default: build)
 
@@ -26,28 +25,21 @@ cmake --build "$BUILD" -j "$(nproc)" \
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-# merge FRESH BASELINE: copy the old baseline's schema (if any) onto the
-# fresh bench output, then replace the baseline.
+# merge FRESH BASELINE: copy the old baseline's schema onto the fresh bench
+# output, then replace the baseline.
 merge() {
   python3 - "$1" "$2" <<'EOF'
 import json, sys
 fresh_path, base_path = sys.argv[1], sys.argv[2]
 fresh = json.load(open(fresh_path))
-try:
-    schema = json.load(open(base_path)).get("schema")
-except FileNotFoundError:
-    schema = None
-if schema is not None:
-    # Keep key order stable: config scalars, schema, points.
-    out = {k: v for k, v in fresh.items() if k != "points"}
-    out["schema"] = schema
-    out["points"] = fresh["points"]
-    with open(base_path, "w") as f:
-        json.dump(out, f, indent=1)
-        f.write("\n")
-else:
-    with open(base_path, "w") as f:
-        f.write(open(fresh_path).read())
+schema = json.load(open(base_path))["schema"]
+# Keep key order stable: config scalars, schema, points.
+out = {k: v for k, v in fresh.items() if k != "points"}
+out["schema"] = schema
+out["points"] = fresh["points"]
+with open(base_path, "w") as f:
+    json.dump(out, f, indent=1)
+    f.write("\n")
 print(f"refreshed {base_path}")
 EOF
 }

@@ -20,7 +20,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import check_perf  # noqa: E402
 
 
-def run_gate(baseline, current, extra_args=()):
+def run_gate(baseline, current):
     """Run check_perf.main() on two documents; return (exit_code, stdout)."""
     with tempfile.TemporaryDirectory() as td:
         bpath = os.path.join(td, "baseline.json")
@@ -29,7 +29,7 @@ def run_gate(baseline, current, extra_args=()):
             json.dump(baseline, f)
         with open(cpath, "w") as f:
             json.dump(current, f)
-        argv = ["check_perf.py", cpath, bpath, *extra_args]
+        argv = ["check_perf.py", cpath, bpath]
         out = io.StringIO()
         old_argv = sys.argv
         sys.argv = argv
@@ -44,10 +44,16 @@ def run_gate(baseline, current, extra_args=()):
         return code, out.getvalue()
 
 
-def legacy_doc(makespan=1.0, messages=100):
+def figure_doc(makespan=1.0, messages=100):
+    """The figure-bench baseline shape (fig5 / bspmm / serve_jobs)."""
     return {
         "bench": "fig5",
         "bs": 256,
+        "schema": {
+            "key": ["nodes", "backend"],
+            "exact": ["messages"],
+            "tolerance": {"makespan": 0.15},
+        },
         "points": [
             {"nodes": 4, "backend": "parsec", "makespan": makespan,
              "messages": messages},
@@ -72,53 +78,54 @@ def schema_doc(**point_overrides):
     }
 
 
-class LegacyDefaults(unittest.TestCase):
-    """Baselines without a schema keep the historical behavior."""
+class FigureBaselines(unittest.TestCase):
+    """Exact counts plus a 15% makespan tolerance, keyed by nodes/backend."""
 
     def test_identical_documents_pass(self):
-        code, out = run_gate(legacy_doc(), legacy_doc())
+        code, out = run_gate(figure_doc(), figure_doc())
         self.assertEqual(code, 0, out)
 
     def test_exact_count_drift_fails(self):
-        code, out = run_gate(legacy_doc(), legacy_doc(messages=101))
+        code, out = run_gate(figure_doc(), figure_doc(messages=101))
         self.assertEqual(code, 1, out)
         self.assertIn("messages", out)
 
-    def test_makespan_within_default_tolerance_passes(self):
-        code, out = run_gate(legacy_doc(), legacy_doc(makespan=1.10))
+    def test_makespan_within_tolerance_passes(self):
+        code, out = run_gate(figure_doc(), figure_doc(makespan=1.10))
         self.assertEqual(code, 0, out)
 
     def test_makespan_regression_fails(self):
-        code, out = run_gate(legacy_doc(), legacy_doc(makespan=1.20))
+        code, out = run_gate(figure_doc(), figure_doc(makespan=1.20))
         self.assertEqual(code, 1, out)
 
     def test_makespan_improvement_passes(self):
-        code, out = run_gate(legacy_doc(), legacy_doc(makespan=0.5))
+        code, out = run_gate(figure_doc(), figure_doc(makespan=0.5))
         self.assertEqual(code, 0, out)
 
-    def test_cli_tolerance_overrides_default(self):
-        code, out = run_gate(legacy_doc(), legacy_doc(makespan=1.20),
-                             ["--tolerance", "0.30"])
-        self.assertEqual(code, 0, out)
+    def test_baseline_without_schema_is_rejected(self):
+        base = figure_doc()
+        del base["schema"]
+        code, _ = run_gate(base, figure_doc())
+        self.assertEqual(code, 2)
 
     def test_config_mismatch_is_an_error(self):
-        cur = legacy_doc()
+        cur = figure_doc()
         cur["bs"] = 128
-        code, _ = run_gate(legacy_doc(), cur)
+        code, _ = run_gate(figure_doc(), cur)
         self.assertNotEqual(code, 0)
 
     def test_missing_point_is_an_error(self):
-        base = legacy_doc()
+        base = figure_doc()
         base["points"].append({"nodes": 8, "backend": "parsec",
                                "makespan": 1.0, "messages": 7})
-        code, _ = run_gate(base, legacy_doc())
+        code, _ = run_gate(base, figure_doc())
         self.assertNotEqual(code, 0)
 
     def test_extra_current_points_are_noted_not_gated(self):
-        cur = legacy_doc()
+        cur = figure_doc()
         cur["points"].append({"nodes": 8, "backend": "parsec",
                               "makespan": 99.0, "messages": 1})
-        code, out = run_gate(legacy_doc(), cur)
+        code, out = run_gate(figure_doc(), cur)
         self.assertEqual(code, 0, out)
         self.assertIn("not gated", out)
 

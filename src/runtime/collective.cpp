@@ -213,7 +213,6 @@ void CommEngine::flush_batch(int src, int dst) {
   }
   stats_.am_batches += 1;
   stats_.batched_msgs += b.delivers.size();
-  if (tracer_ != nullptr) tracer_->record_am_batch(src, b.delivers.size());
   // One wire transfer, one receive-side AM handling charge, one ack under
   // resilience; the member AMs deliver in their send order.
   const std::size_t total =

@@ -59,25 +59,17 @@ void DataTracker::on_input_copy(int rank, std::size_t bytes) {
 
 void DataTracker::on_stage_h2d(int rank, std::size_t bytes) {
   RankStats& s = at(rank);
-  s.h2d_transfers += 1;
-  s.h2d_bytes += bytes;
   s.device_live_bytes += bytes;
   if (s.device_live_bytes > s.device_watermark)
     s.device_watermark = s.device_live_bytes;
 }
 
-void DataTracker::on_device_evict(int rank, std::size_t bytes, bool dirty) {
+void DataTracker::on_device_evict(int rank, std::size_t bytes) {
   RankStats& s = at(rank);
   TTG_CHECK(s.device_live_bytes >= bytes,
             "device eviction without a matching staging");
   s.device_live_bytes -= bytes;
-  if (dirty) {
-    s.d2h_transfers += 1;
-    s.d2h_bytes += bytes;
-  }
 }
-
-void DataTracker::on_device_hit(int rank) { at(rank).device_hits += 1; }
 
 const DataTracker::JobStats& DataTracker::job_stats(JobId job) const {
   static const JobStats kZero{};
@@ -103,11 +95,6 @@ DataTracker::RankStats DataTracker::totals() const {
     t.serialize_hits += s.serialize_hits;
     t.input_copies += s.input_copies;
     t.input_copy_bytes += s.input_copy_bytes;
-    t.h2d_transfers += s.h2d_transfers;
-    t.h2d_bytes += s.h2d_bytes;
-    t.d2h_transfers += s.d2h_transfers;
-    t.d2h_bytes += s.d2h_bytes;
-    t.device_hits += s.device_hits;
     t.device_live_bytes += s.device_live_bytes;
     t.device_watermark += s.device_watermark;  // sum of per-rank peaks
   }

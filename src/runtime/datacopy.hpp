@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "runtime/comm.hpp"
-#include "runtime/trace.hpp"
 #include "serialization/archive.hpp"
 #include "serialization/traits.hpp"
 #include "support/error.hpp"
@@ -72,12 +71,8 @@ class DataTracker {
     std::uint64_t serialize_hits = 0;   ///< sends served from the cached buffer
     std::uint64_t input_copies = 0;     ///< task-private input copies made
     std::uint64_t input_copy_bytes = 0; ///< bytes those copies moved
-    // --- device residency (all zero without the device plane) ---
-    std::uint64_t h2d_transfers = 0;       ///< host -> device stagings
-    std::uint64_t h2d_bytes = 0;
-    std::uint64_t d2h_transfers = 0;       ///< dirty-eviction writebacks
-    std::uint64_t d2h_bytes = 0;
-    std::uint64_t device_hits = 0;         ///< inputs found already resident
+    // --- device residency (all zero without the device plane; transfer
+    // --- and hit counts live in the Scheduler's DeviceStats) ---
     std::uint64_t device_live_bytes = 0;   ///< bytes currently device-resident
     std::uint64_t device_watermark = 0;    ///< peak of device_live_bytes
   };
@@ -114,11 +109,10 @@ class DataTracker {
   void on_serialize(int rank, bool cache_hit);
   void on_input_copy(int rank, std::size_t bytes);
 
-  // --- device residency accounting (reported by the schedulers' device
-  // plane and by DataCopy::stage_to_device; all no-ops when never called) ---
+  // --- device residency bytes (reported by the schedulers' device plane;
+  // no-ops when never called) ---
   void on_stage_h2d(int rank, std::size_t bytes);
-  void on_device_evict(int rank, std::size_t bytes, bool dirty);
-  void on_device_hit(int rank);
+  void on_device_evict(int rank, std::size_t bytes);
 
   [[nodiscard]] const RankStats& rank_stats(int rank) const;
   [[nodiscard]] RankStats totals() const;
@@ -166,11 +160,11 @@ class DataCopy {
  public:
   DataCopy() = default;
 
-  /// Enter `value` into the lifecycle layer on `owner`'s behalf. `tracer`
-  /// may be null (tracing disabled); `comm` supplies the CopyPolicy and the
-  /// CommStats the serialization cache reports into.
-  DataCopy(DataTracker& tracker, Tracer* tracer, CommEngine& comm, int owner, V value)
-      : b_(std::make_shared<Block>(tracker, tracer, comm, owner, std::move(value))) {}
+  /// Enter `value` into the lifecycle layer on `owner`'s behalf. `comm`
+  /// supplies the CopyPolicy and the CommStats the serialization cache
+  /// reports into.
+  DataCopy(DataTracker& tracker, CommEngine& comm, int owner, V value)
+      : b_(std::make_shared<Block>(tracker, comm, owner, std::move(value))) {}
 
   [[nodiscard]] explicit operator bool() const { return b_ != nullptr; }
 
@@ -190,8 +184,8 @@ class DataCopy {
   /// and every later call is a cache hit returning the same buffer; with the
   /// policy off (MADNESS semantics) every call rebuilds, so each send still
   /// counts — and is charged as — a full serialization. Counts land in
-  /// CommStats, the DataTracker, and (when enabled) the Tracer. `cache_hit`,
-  /// when non-null, reports which case this call was.
+  /// CommStats and the DataTracker. `cache_hit`, when non-null, reports
+  /// which case this call was.
   [[nodiscard]] std::shared_ptr<const std::vector<std::byte>> serialized(
       bool* cache_hit = nullptr) const {
     TTG_CHECK(b_ != nullptr, "serialized() on an empty DataCopy");
@@ -207,7 +201,6 @@ class DataCopy {
     CommStats& cs = b.comm->mutable_stats();
     (hit ? cs.serialize_hits : cs.serializations) += 1;
     b.tracker->on_serialize(b.owner, hit);
-    if (b.tracer != nullptr) b.tracer->record_serialization(b.owner, hit);
     if (cache_hit != nullptr) *cache_hit = hit;
     return b.cache;
   }
@@ -224,40 +217,7 @@ class DataCopy {
     Block& b = *b_;
     b.comm->mutable_stats().serialize_hits += 1;
     b.tracker->on_serialize(b.owner, /*cache_hit=*/true);
-    if (b.tracer != nullptr) b.tracer->record_serialization(b.owner, true);
   }
-
-  /// Stage the payload into device `gpu`'s memory (simulated residency: the
-  /// handle keeps at most one device copy). Returns true when the H2D
-  /// transfer was actually paid; a repeat staging onto the same device is a
-  /// residency hit and costs nothing. Staging onto a *different* device
-  /// first writes the old copy back (clean eviction). All traffic lands in
-  /// the DataTracker's device counters.
-  bool stage_to_device(int gpu) {
-    TTG_CHECK(b_ != nullptr, "stage_to_device() on an empty DataCopy");
-    TTG_CHECK(gpu >= 0, "stage_to_device() needs a non-negative device id");
-    Block& b = *b_;
-    if (b.device == gpu) {
-      b.tracker->on_device_hit(b.owner);
-      return false;
-    }
-    if (b.device >= 0) b.tracker->on_device_evict(b.owner, b.bytes, /*dirty=*/false);
-    b.tracker->on_stage_h2d(b.owner, b.bytes);
-    b.device = gpu;
-    return true;
-  }
-
-  /// Drop the device copy; a dirty unstage pays the D2H writeback.
-  void unstage(bool dirty = false) {
-    TTG_CHECK(b_ != nullptr, "unstage() on an empty DataCopy");
-    Block& b = *b_;
-    if (b.device < 0) return;
-    b.tracker->on_device_evict(b.owner, b.bytes, dirty);
-    b.device = -1;
-  }
-
-  /// Device currently holding a staged copy, or -1 when host-only.
-  [[nodiscard]] int device() const { return b_ ? b_->device : -1; }
 
   /// Type-erased ownership share, e.g. for pinning the block (and its
   /// cached buffer) inside the comm layer across retransmissions.
@@ -267,36 +227,28 @@ class DataCopy {
 
  private:
   struct Block {
-    Block(DataTracker& t, Tracer* tr, CommEngine& c, int o, V v)
+    Block(DataTracker& t, CommEngine& c, int o, V v)
         : tracker(&t),
-          tracer(tr),
           comm(&c),
           owner(o),
           job(t.current_job()),
           bytes(detail::payload_bytes(v)),
           value(std::move(v)) {
       tracker->on_alloc(owner, bytes, job);
-      if (tracer != nullptr) tracer->record_data_alloc(owner);
     }
     ~Block() {
-      // A still-staged device copy is dropped (clean) with the block so the
-      // fence-time residency reconciliation balances.
-      if (device >= 0) tracker->on_device_evict(owner, bytes, /*dirty=*/false);
       // Released against the allocating job, regardless of which job (if
       // any) is ambient when the last reference drops.
       tracker->on_release(owner, bytes, job);
-      if (tracer != nullptr) tracer->record_data_release(owner);
     }
     Block(const Block&) = delete;
     Block& operator=(const Block&) = delete;
 
     DataTracker* tracker;
-    Tracer* tracer;
     CommEngine* comm;
     int owner;
     JobId job;
     std::size_t bytes;
-    int device = -1;  ///< device holding a staged copy, -1 when host-only
     V value;
     std::shared_ptr<const std::vector<std::byte>> cache;
   };

@@ -199,7 +199,6 @@ void Scheduler::submit_device_node(JobId job, int priority, double host_cost,
   const double staging = stage_datums(job, best, dev);
   const double service = staging + device_.launch_overhead + dev.cost;
   device_stats_.device_tasks += 1;
-  if (tracer_ != nullptr) tracer_->record_device_task(rank_);
   queues_[job].counters.submitted += 1;
   Ready task{job, priority, next_seq_++, service, std::move(body), trace_node};
   start_device(std::move(task), best, service);
@@ -219,12 +218,9 @@ double Scheduler::stage_datums(JobId job, int gpu, const DeviceCall& dev) {
       device_stats_.residency_hits += 1;
       it->second.last_use = device_clock_;
       it->second.dirty = it->second.dirty || d.write;
-      if (data_tracker_ != nullptr) data_tracker_->on_device_hit(rank_);
-      if (tracer_ != nullptr) tracer_->record_residency(rank_, true);
       continue;
     }
     device_stats_.residency_misses += 1;
-    if (tracer_ != nullptr) tracer_->record_residency(rank_, false);
     // HBM pressure: evict least-recently-used residents not touched by this
     // dispatch; dirty victims pay the D2H writeback before the slot frees.
     if (device_.hbm_bytes > 0) {
@@ -244,13 +240,9 @@ double Scheduler::stage_datums(JobId job, int gpu, const DeviceCall& dev) {
           device_stats_.d2h_bytes += victim->second.bytes;
           staging += device_.stage_latency +
                      static_cast<double>(victim->second.bytes) / device_.stage_bw;
-          if (tracer_ != nullptr) tracer_->record_d2h(rank_, victim->second.bytes);
         }
-        if (tracer_ != nullptr) tracer_->record_eviction(rank_);
-        if (data_tracker_ != nullptr) {
-          data_tracker_->on_device_evict(rank_, victim->second.bytes,
-                                         victim->second.dirty);
-        }
+        if (data_tracker_ != nullptr)
+          data_tracker_->on_device_evict(rank_, victim->second.bytes);
         used -= victim->second.bytes;
         res.erase(victim);
       }
@@ -259,7 +251,6 @@ double Scheduler::stage_datums(JobId job, int gpu, const DeviceCall& dev) {
     device_stats_.h2d_bytes += d.bytes;
     staging +=
         device_.stage_latency + static_cast<double>(d.bytes) / device_.stage_bw;
-    if (tracer_ != nullptr) tracer_->record_h2d(rank_, d.bytes);
     if (data_tracker_ != nullptr) data_tracker_->on_stage_h2d(rank_, d.bytes);
     res.emplace(key, Resident{d.bytes, device_clock_, d.write});
     used += d.bytes;
@@ -424,7 +415,6 @@ void Scheduler::try_steal(int worker) {
       }
       (local ? steal_stats_.steals_local : steal_stats_.steals_remote) += 1;
       steal_stats_.tasks_stolen += static_cast<std::uint64_t>(take);
-      if (tracer_ != nullptr) tracer_->record_steal(rank_, local);
       // The thief's core is busy bouncing deque cache lines for the steal
       // distance before the stolen task can start.
       const double dt =
@@ -438,7 +428,6 @@ void Scheduler::try_steal(int worker) {
     }
   }
   steal_stats_.steal_fail += 1;
-  if (tracer_ != nullptr) tracer_->record_steal_fail(rank_);
   idle_workers_.push_back(worker);
 }
 

@@ -196,8 +196,8 @@ class Scheduler {
   /// scheduler-side view World::fence() reconciles against the DataTracker).
   [[nodiscard]] std::uint64_t device_resident_bytes() const;
 
-  /// Device-lifecycle accounting sink (the World's DataTracker); staging
-  /// transfers, hits, and evictions are reported into it when set.
+  /// Device-residency sink (the World's DataTracker): staged and evicted
+  /// bytes are reported into it when set.
   void set_data_tracker(DataTracker* tracker) { data_tracker_ = tracker; }
 
   /// Enqueue a ready task that carries a device variant. With the device
@@ -284,8 +284,8 @@ class Scheduler {
   void submit_device_node(JobId job, int priority, double host_cost, DeviceCall dev,
                           std::uint32_t trace_node, std::function<void()> body);
   /// Commit `dev`'s datums to GPU `gpu`'s residency table (hits, stagings,
-  /// evictions, tracker + tracer reporting); returns the staging seconds the
-  /// dispatch pays before the kernel can launch.
+  /// evictions, residency bytes to the tracker); returns the staging seconds
+  /// the dispatch pays before the kernel can launch.
   double stage_datums(JobId job, int gpu, const DeviceCall& dev);
   /// Queue one placed device task on its GPU lane.
   void start_device(Ready task, int gpu, double service);

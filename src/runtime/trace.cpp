@@ -39,28 +39,6 @@ CommCounters Tracer::totals() const {
     t.whole_object_sends += c.whole_object_sends;
     t.serialization_copies += c.serialization_copies;
     t.rma_gets += c.rma_gets;
-    t.data_allocs += c.data_allocs;
-    t.data_releases += c.data_releases;
-    t.payload_serializations += c.payload_serializations;
-    t.serialize_cache_hits += c.serialize_cache_hits;
-    t.broadcast_forwards += c.broadcast_forwards;
-    t.am_batches += c.am_batches;
-    t.batched_msgs += c.batched_msgs;
-    t.reduce_forwards += c.reduce_forwards;
-    t.reduce_combines += c.reduce_combines;
-    t.intra_node_hops += c.intra_node_hops;
-    t.inter_node_hops += c.inter_node_hops;
-    t.steals_local += c.steals_local;
-    t.steals_remote += c.steals_remote;
-    t.steal_fail += c.steal_fail;
-    t.device_tasks += c.device_tasks;
-    t.h2d_transfers += c.h2d_transfers;
-    t.h2d_bytes += c.h2d_bytes;
-    t.d2h_transfers += c.d2h_transfers;
-    t.d2h_bytes += c.d2h_bytes;
-    t.residency_hits += c.residency_hits;
-    t.residency_misses += c.residency_misses;
-    t.device_evictions += c.device_evictions;
     t.charged_cpu += c.charged_cpu;
     t.server_wait += c.server_wait;
     t.server_busy += c.server_busy;
@@ -320,56 +298,6 @@ support::Table Tracer::breakdown_table(double makespan) const {
   return t;
 }
 
-support::Table Tracer::forwarding_table() const {
-  support::Table t("collective data plane (tree broadcast + reduction + AM coalescing)",
-                   {"rank", "bcast fwds", "reduce fwds", "combines", "intra hops",
-                    "inter hops", "am batches", "batched msgs", "msg sends"});
-  for (int r = 0; r < static_cast<int>(counters_.size()); ++r) {
-    const auto& c = counters_[static_cast<std::size_t>(r)];
-    if (c.broadcast_forwards == 0 && c.am_batches == 0 && c.reduce_forwards == 0 &&
-        c.reduce_combines == 0) {
-      continue;
-    }
-    t.add_row({std::to_string(r), std::to_string(c.broadcast_forwards),
-               std::to_string(c.reduce_forwards), std::to_string(c.reduce_combines),
-               std::to_string(c.intra_node_hops), std::to_string(c.inter_node_hops),
-               std::to_string(c.am_batches), std::to_string(c.batched_msgs),
-               std::to_string(c.msg_sends)});
-  }
-  return t;
-}
-
-support::Table Tracer::steal_table() const {
-  support::Table t("work-stealing scheduler (per-core deques, steal-half)",
-                   {"rank", "steals local", "steals remote", "failed scans"});
-  for (int r = 0; r < static_cast<int>(counters_.size()); ++r) {
-    const auto& c = counters_[static_cast<std::size_t>(r)];
-    if (c.steals_local == 0 && c.steals_remote == 0 && c.steal_fail == 0) continue;
-    t.add_row({std::to_string(r), std::to_string(c.steals_local),
-               std::to_string(c.steals_remote), std::to_string(c.steal_fail)});
-  }
-  return t;
-}
-
-support::Table Tracer::device_table() const {
-  support::Table t("device plane (simulated GPUs, cost-model placement)",
-                   {"rank", "device tasks", "h2d", "h2d B", "d2h", "d2h B",
-                    "res hits", "res misses", "evictions"});
-  for (int r = 0; r < static_cast<int>(counters_.size()); ++r) {
-    const auto& c = counters_[static_cast<std::size_t>(r)];
-    if (c.device_tasks == 0 && c.h2d_transfers == 0 && c.residency_hits == 0 &&
-        c.residency_misses == 0) {
-      continue;
-    }
-    t.add_row({std::to_string(r), std::to_string(c.device_tasks),
-               std::to_string(c.h2d_transfers), std::to_string(c.h2d_bytes),
-               std::to_string(c.d2h_transfers), std::to_string(c.d2h_bytes),
-               std::to_string(c.residency_hits), std::to_string(c.residency_misses),
-               std::to_string(c.device_evictions)});
-  }
-  return t;
-}
-
 std::string Tracer::critical_path_report() const {
   const CriticalPath cp = critical_path();
   std::ostringstream os;
@@ -461,7 +389,7 @@ class Lanes {
 std::string Tracer::chrome_trace_json() const {
   // Track layout, per rank process (pid == rank):
   //   tid 0..W-1      worker timelines (task spans)
-  //   tid W           tasks recorded without a worker id (back-compat)
+  //   tid W           tasks that ran off the host cores (device lanes)
   //   tid W+1         backend message-processing thread (comm/AM server)
   //   tid W+2+lane    inbound message spans (send->recv)
   //   tid W+100+lane  RMA gets landing at this rank

@@ -19,9 +19,14 @@
 // delivery completes a task's inputs is that task's predecessor (local
 // sends link tasks directly). Node ids are allocated in causal order, so
 // the graph is a DAG in id order and supports a linear-time critical-path
-// walk. Everything is queryable programmatically — counters per rank, the
-// critical path, per-rank busy/idle/comm breakdowns — and exportable as
-// Chrome-trace JSON loadable in chrome://tracing or Perfetto.
+// walk. Everything is queryable programmatically — per-rank sums over the
+// stream, the critical path, per-rank busy/idle/comm breakdowns — and
+// exportable as Chrome-trace JSON loadable in chrome://tracing or Perfetto.
+//
+// The Tracer counts nothing the stream does not carry. Runtime counts live
+// with the layer that produces them, always on: CommStats (comm,
+// collectives, resilience), DataTracker (data lifecycle), the Scheduler's
+// StealStats/DeviceStats, and NetStats.
 //
 // All records are keyed to the *virtual* clock and produced by the
 // deterministic event engine, so two runs of the same workload produce
@@ -118,7 +123,8 @@ struct TraceSummary {
   double max_time = 0.0;
 };
 
-/// Per-rank communication/scheduling counters, queryable by tests.
+/// Per-rank sums over the event stream (message, copy, CPU-charge, server
+/// and RMA records), queryable by tests.
 struct CommCounters {
   std::uint64_t msg_sends = 0;       ///< remote messages issued by this rank
   std::uint64_t msg_recvs = 0;       ///< remote messages delivered here
@@ -128,34 +134,6 @@ struct CommCounters {
   std::uint64_t whole_object_sends = 0;  ///< messages serialized whole
   std::uint64_t serialization_copies = 0;  ///< payload staging/unstaging copies
   std::uint64_t rma_gets = 0;
-  // --- data-lifecycle layer (DataCopy handles on this rank) ---
-  std::uint64_t data_allocs = 0;     ///< DataCopy blocks entered the runtime
-  std::uint64_t data_releases = 0;   ///< blocks whose refcount returned to zero
-  std::uint64_t payload_serializations = 0;  ///< archive passes over payloads
-  std::uint64_t serialize_cache_hits = 0;    ///< sends reusing the cached buffer
-  // --- collective data plane (tree-routed broadcast + AM coalescing) ---
-  std::uint64_t broadcast_forwards = 0;  ///< tree hops forwarded from this rank
-  std::uint64_t am_batches = 0;          ///< coalesced wire transfers issued
-  std::uint64_t batched_msgs = 0;        ///< AMs that rode inside those batches
-  // --- reduction tree (many-to-one streaming combine) ---
-  std::uint64_t reduce_forwards = 0;  ///< combined partials sent up from here
-  std::uint64_t reduce_combines = 0;  ///< incoming partials absorbed here
-  // --- machine-topology split of payload-bearing tree hops ---
-  std::uint64_t intra_node_hops = 0;  ///< hops staying on the sender's node
-  std::uint64_t inter_node_hops = 0;  ///< hops crossing the network
-  // --- work-stealing substrate (zero when WorldConfig::work_stealing off) ---
-  std::uint64_t steals_local = 0;   ///< same-socket deque steals on this rank
-  std::uint64_t steals_remote = 0;  ///< cross-socket deque steals
-  std::uint64_t steal_fail = 0;     ///< steal scans that found no victim
-  // --- device plane (zero when WorldConfig::device is Off) ---
-  std::uint64_t device_tasks = 0;      ///< task bodies run on a simulated GPU
-  std::uint64_t h2d_transfers = 0;     ///< host -> device stagings paid
-  std::uint64_t h2d_bytes = 0;
-  std::uint64_t d2h_transfers = 0;     ///< dirty-eviction writebacks paid
-  std::uint64_t d2h_bytes = 0;
-  std::uint64_t residency_hits = 0;    ///< device inputs found already resident
-  std::uint64_t residency_misses = 0;  ///< device inputs that needed staging
-  std::uint64_t device_evictions = 0;  ///< residents dropped under HBM pressure
   double charged_cpu = 0.0;   ///< CPU charged inside task bodies (send copies)
   double server_wait = 0.0;   ///< queueing on the comm/AM server thread
   double server_busy = 0.0;   ///< service time on the comm/AM server thread
@@ -213,13 +191,6 @@ class Tracer {
   /// CPU charged inside a task body (serialization copies on sends).
   void add_charged_cpu(int rank, double dt) { counters(rank).charged_cpu += dt; }
 
-  /// Back-compat shim: record a completed task span in one call (used by
-  /// code that does not carry node ids around).
-  void record(std::string name, int rank, int priority, double start, double end) {
-    task_executed(task_created(std::move(name), std::string(), rank, priority),
-                  /*worker=*/-1, start, end);
-  }
-
   // --- recording: terminal / message layer ---
 
   /// Allocate a message node (at send-issue time, inside the sender's body
@@ -234,91 +205,6 @@ class Tracer {
   void add_copies(int rank, int n) {
     counters(rank).serialization_copies += static_cast<std::uint64_t>(n);
   }
-
-  // --- recording: data-lifecycle layer (DataCopy) ---
-
-  /// A payload entered the lifecycle layer on `rank` (refcount 0 -> 1).
-  void record_data_alloc(int rank) { counters(rank).data_allocs += 1; }
-  /// A payload's refcount returned to zero on `rank`.
-  void record_data_release(int rank) { counters(rank).data_releases += 1; }
-  /// An archive pass over a payload (`cache_hit` false) or a send served
-  /// from the cached serialized buffer (`cache_hit` true).
-  void record_serialization(int rank, bool cache_hit) {
-    auto& c = counters(rank);
-    (cache_hit ? c.serialize_cache_hits : c.payload_serializations) += 1;
-  }
-
-  // --- recording: collective data plane ---
-
-  /// An interior rank of a broadcast spanning tree re-injected the pinned
-  /// serialized block toward one child.
-  void record_forward(int rank) { counters(rank).broadcast_forwards += 1; }
-  /// `n` small AMs bound for the same destination left `rank` as one
-  /// coalesced wire transfer.
-  void record_am_batch(int rank, std::size_t n) {
-    auto& c = counters(rank);
-    c.am_batches += 1;
-    c.batched_msgs += static_cast<std::uint64_t>(n);
-  }
-
-  /// An interior rank of a reduction tree sent its combined partial up
-  /// toward the owner.
-  void record_reduce_forward(int rank) { counters(rank).reduce_forwards += 1; }
-  /// A rank absorbed one incoming combined partial (fold or init-move)
-  /// from a reduction-tree child.
-  void record_reduce_combine(int rank) { counters(rank).reduce_combines += 1; }
-  /// A payload-bearing tree hop left `rank`; `intra` says whether both
-  /// endpoints share a machine node (collective::Topology).
-  void record_tree_hop(int rank, bool intra) {
-    auto& c = counters(rank);
-    (intra ? c.intra_node_hops : c.inter_node_hops) += 1;
-  }
-
-  /// Per-rank collective data-plane table (tree forwards + AM batches) for
-  /// --trace-summary; rows only for ranks with non-zero activity.
-  [[nodiscard]] support::Table forwarding_table() const;
-
-  // --- recording: work-stealing scheduler substrate ---
-
-  /// One successful deque steal on `rank` (`local` = same-socket victim).
-  void record_steal(int rank, bool local) {
-    auto& c = counters(rank);
-    (local ? c.steals_local : c.steals_remote) += 1;
-  }
-  /// A steal scan on `rank` found every other core's deque empty.
-  void record_steal_fail(int rank) { counters(rank).steal_fail += 1; }
-
-  /// Per-rank work-stealing table (local/remote steals + failed scans) for
-  /// --trace-summary; rows only for ranks with non-zero activity.
-  [[nodiscard]] support::Table steal_table() const;
-
-  // --- recording: device plane (simulated accelerators) ---
-
-  /// A task body was placed on (and ran on) one of `rank`'s simulated GPUs.
-  void record_device_task(int rank) { counters(rank).device_tasks += 1; }
-  /// One device input datum was looked up in the residency map.
-  void record_residency(int rank, bool hit) {
-    auto& c = counters(rank);
-    (hit ? c.residency_hits : c.residency_misses) += 1;
-  }
-  /// A host -> device staging transfer was paid for a cold input.
-  void record_h2d(int rank, std::uint64_t bytes) {
-    auto& c = counters(rank);
-    c.h2d_transfers += 1;
-    c.h2d_bytes += bytes;
-  }
-  /// A dirty resident was written back host-side on eviction.
-  void record_d2h(int rank, std::uint64_t bytes) {
-    auto& c = counters(rank);
-    c.d2h_transfers += 1;
-    c.d2h_bytes += bytes;
-  }
-  /// A resident datum was dropped to make room under HBM pressure.
-  void record_eviction(int rank) { counters(rank).device_evictions += 1; }
-
-  /// Per-rank device-plane table (device tasks, staging traffic, residency
-  /// hit rate) for --trace-summary; rows only for ranks with activity.
-  [[nodiscard]] support::Table device_table() const;
 
   // --- recording: backend comm engines ---
 

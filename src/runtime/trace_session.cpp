@@ -33,6 +33,42 @@ DevicePlacement parse_placement(const std::string& s) {
                           s + "\")");
 }
 
+/// Per-rank work-stealing counters, read from the schedulers; printed only
+/// when some rank stole or scanned.
+void print_steal_table(World& world) {
+  support::Table t("work-stealing scheduler (per-core deques, steal-half)",
+                   {"rank", "steals local", "steals remote", "failed scans"});
+  bool any = false;
+  for (int r = 0; r < world.nranks(); ++r) {
+    const StealStats& s = world.scheduler(r).steal_stats();
+    if (s.steals_local + s.steals_remote + s.steal_fail == 0) continue;
+    any = true;
+    t.add_row({std::to_string(r), std::to_string(s.steals_local),
+               std::to_string(s.steals_remote), std::to_string(s.steal_fail)});
+  }
+  if (any) std::printf("%s\n", t.str().c_str());
+}
+
+/// Per-rank device-plane counters, read from the schedulers; printed only
+/// when some rank placed a task on a GPU or looked up residency.
+void print_device_table(World& world) {
+  support::Table t("device plane (simulated GPUs, cost-model placement)",
+                   {"rank", "device tasks", "h2d", "h2d B", "d2h", "d2h B",
+                    "res hits", "res misses", "evictions"});
+  bool any = false;
+  for (int r = 0; r < world.nranks(); ++r) {
+    const DeviceStats& s = world.scheduler(r).device_stats();
+    if (s.device_tasks + s.residency_hits + s.residency_misses == 0) continue;
+    any = true;
+    t.add_row({std::to_string(r), std::to_string(s.device_tasks),
+               std::to_string(s.h2d_transfers), std::to_string(s.h2d_bytes),
+               std::to_string(s.d2h_transfers), std::to_string(s.d2h_bytes),
+               std::to_string(s.residency_hits), std::to_string(s.residency_misses),
+               std::to_string(s.evictions)});
+  }
+  if (any) std::printf("%s\n", t.str().c_str());
+}
+
 }  // namespace
 
 TraceSession::TraceSession(const support::Cli& cli)
@@ -85,15 +121,23 @@ void TraceSession::finish(World& world, const std::string& label,
     const double span = makespan >= 0.0 ? makespan : world.engine().now();
     std::printf("%s\n", tracer.breakdown_table(span).str().c_str());
     std::printf("%s\n", world.data_tracker().memory_table().str().c_str());
-    const auto totals = tracer.totals();
-    if (totals.broadcast_forwards > 0 || totals.am_batches > 0 ||
-        totals.reduce_forwards > 0 || totals.reduce_combines > 0)
-      std::printf("%s\n", tracer.forwarding_table().str().c_str());
-    if (totals.steals_local > 0 || totals.steals_remote > 0 || totals.steal_fail > 0)
-      std::printf("%s\n", tracer.steal_table().str().c_str());
-    if (totals.device_tasks > 0 || totals.residency_hits > 0 ||
-        totals.residency_misses > 0)
-      std::printf("%s\n", tracer.device_table().str().c_str());
+    const CommStats& cs = world.comm().stats();
+    if (cs.broadcast_forwards + cs.am_batches + cs.reduce_forwards +
+            cs.reduce_combines > 0) {
+      std::printf(
+          "# collectives: bcast_forwards=%llu reduce_forwards=%llu "
+          "reduce_combines=%llu intra_hops=%llu inter_hops=%llu am_batches=%llu "
+          "batched_msgs=%llu\n",
+          static_cast<unsigned long long>(cs.broadcast_forwards),
+          static_cast<unsigned long long>(cs.reduce_forwards),
+          static_cast<unsigned long long>(cs.reduce_combines),
+          static_cast<unsigned long long>(cs.intra_node_hops),
+          static_cast<unsigned long long>(cs.inter_node_hops),
+          static_cast<unsigned long long>(cs.am_batches),
+          static_cast<unsigned long long>(cs.batched_msgs));
+    }
+    print_steal_table(world);
+    print_device_table(world);
     std::printf("%s\n", tracer.critical_path_report().c_str());
     if (world.engine().sharded()) {
       const auto es = world.engine().stats();
@@ -113,7 +157,6 @@ void TraceSession::finish(World& world, const std::string& label,
       const std::string faults = tracer.fault_report();
       if (!faults.empty()) std::printf("%s\n", faults.c_str());
       const auto& ns = world.network().stats();
-      const auto& cs = world.comm().stats();
       std::printf(
           "# degradation: drops=%llu dropped_bytes=%llu dups=%llu rma_delays=%llu "
           "retries=%llu rma_refetches=%llu resent_bytes=%llu recovered=%llu "

@@ -21,9 +21,11 @@
 // finish() writes one Chrome-trace JSON file per traced World (the label
 // disambiguates binaries that run many configurations) and/or prints the
 // per-template summary, the per-rank breakdown, the critical-path report,
-// and — when faults are armed — the fault/recovery event table plus the
-// comm-plane degradation counters. With no flags given, every call is a
-// no-op, so the wiring costs nothing on plain runs.
+// and — when active — the collective counts, the per-rank steal and device
+// tables (read from CommStats and the schedulers, which own those counts),
+// and the fault/recovery event table plus the comm-plane degradation
+// counters. With no flags given, every call is a no-op, so the wiring costs
+// nothing on plain runs.
 #pragma once
 
 #include <string>

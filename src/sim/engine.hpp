@@ -233,13 +233,17 @@ class EventFn {
       (void)arena;
       new (buf_) Fd(std::forward<F>(f));
       ops_ = &kInlineOps<Fd>;
-    } else if (arena != nullptr && sizeof(Fd) <= FnArena::kPayload &&
-               alignof(Fd) <= alignof(std::max_align_t)) {
-      FnArena::Block* b = arena->acquire();
-      new (b->payload) Fd(std::forward<F>(f));
-      std::memcpy(buf_, &b, sizeof b);
-      ops_ = &kArenaOps<Fd>;
     } else {
+      if constexpr (sizeof(Fd) <= FnArena::kPayload &&
+                    alignof(Fd) <= alignof(std::max_align_t)) {
+        if (arena != nullptr) {
+          FnArena::Block* b = arena->acquire();
+          new (b->payload) Fd(std::forward<F>(f));
+          std::memcpy(buf_, &b, sizeof b);
+          ops_ = &kArenaOps<Fd>;
+          return;
+        }
+      }
       Fd* p = new Fd(std::forward<F>(f));
       heap_allocs_.fetch_add(1, std::memory_order_relaxed);
       std::memcpy(buf_, &p, sizeof p);

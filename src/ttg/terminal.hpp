@@ -60,14 +60,12 @@ std::size_t local_copy_bytes(const V& v) {
 /// Classify one payload-bearing tree hop as intra- or inter-node (machine
 /// topology accounting shared by the broadcast and reduction planes).
 inline void record_tree_hop(rt::World& w, int from, int dst) {
-  const bool intra = w.topology().same_node(from, dst);
   auto& stats = w.comm().mutable_stats();
-  if (intra) {
+  if (w.topology().same_node(from, dst)) {
     stats.intra_node_hops += 1;
   } else {
     stats.inter_node_hops += 1;
   }
-  if (w.tracing()) w.tracer().record_tree_hop(from, intra);
 }
 }  // namespace detail
 
@@ -145,14 +143,13 @@ class Out {
     const Value* payload = &value;
     auto shared = [&]() -> const rt::DataCopy<Value>& {
       if (!data) {
-        rt::Tracer* tr = w.tracing() ? &w.tracer() : nullptr;
         if (moved) {
           // The caller surrendered the value (rvalue send): move it into
           // the runtime-owned block instead of copying.
-          data = rt::DataCopy<Value>(w.data_tracker(), tr, comm, me,
+          data = rt::DataCopy<Value>(w.data_tracker(), comm, me,
                                      std::move(const_cast<Value&>(value)));
         } else {
-          data = rt::DataCopy<Value>(w.data_tracker(), tr, comm, me, value);
+          data = rt::DataCopy<Value>(w.data_tracker(), comm, me, value);
         }
         payload = &data.value();
       }
@@ -475,7 +472,6 @@ class Out {
         for (int c : st->shape.children[static_cast<std::size_t>(pos)]) {
           st->data.record_forward_hit();
           comm.mutable_stats().broadcast_forwards += 1;
-          if (tr != nullptr) tr->record_forward(m.rank);
           lag += comm.per_message_cpu();
           tree_inject(st, m.rank, c, lag, /*src_copies=*/0);
         }
@@ -642,7 +638,6 @@ class Out {
         double lag = 0.0;
         for (int c : children) {
           comm.mutable_stats().broadcast_forwards += 1;
-          if (tr != nullptr) tr->record_forward(m.rank);
           lag += comm.per_message_cpu();
           smd_inject(st, m.rank, c, lag, obj);
         }

@@ -619,7 +619,6 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
     world_.comm().mutable_stats().reduce_combines += 1;
-    if (world_.tracing()) world_.tracer().record_reduce_combine(world_.rank());
     TTG_CHECK(!rec.replied[static_cast<std::size_t>(slot)],
               "duplicate combined partial from one subtree");
     TTG_CHECK(cum >= rec.child_cum[static_cast<std::size_t>(slot)],
@@ -693,7 +692,6 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     }
     TTG_CHECK(rec.has_value, "non-empty subtree without a combined value");
     world_.comm().mutable_stats().reduce_forwards += 1;
-    if (world_.tracing()) world_.tracer().record_reduce_forward(me);
     detail::record_tree_hop(world_, me, parent);
     V out = std::move(rec.value);
     rec.has_value = false;
@@ -770,8 +768,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     using V = std::tuple_element_t<I, input_values>;
     auto& w = world_;
     auto& comm = w.comm();
-    rt::Tracer* tr = w.tracing() ? &w.tracer() : nullptr;
-    rt::DataCopy<V> data(w.data_tracker(), tr, comm, from, std::move(value));
+    rt::DataCopy<V> data(w.data_tracker(), comm, from, std::move(value));
     static_assert(std::is_default_constructible_v<V>,
                   "remote TTG values must be default-constructible");
     bool cache_hit = false;
@@ -789,6 +786,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     const double cpu =
         cache_hit ? comm.per_message_cpu() : comm.send_side_cpu(wire, proto);
     const double delay = w.scheduler(from).charge(cpu);
+    rt::Tracer* tr = w.tracing() ? &w.tracer() : nullptr;
     std::uint32_t msg = rt::Tracer::kNoNode;
     if (tr != nullptr) {
       msg = tr->message_created(name_ + "#rtree", from, to, wire, /*splitmd=*/false);
@@ -834,7 +832,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   template <std::size_t... Is>
   [[nodiscard]] std::size_t reduce_pending(std::index_sequence<Is...>) const {
     std::size_t n = 0;
-    auto count = [&n](const auto& per_rank) {
+    [[maybe_unused]] auto count = [&n](const auto& per_rank) {
       for (const auto& m : per_rank)
         for (const auto& kv : m) n += kv.second.done ? 0 : 1;
     };

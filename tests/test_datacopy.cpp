@@ -70,7 +70,7 @@ TEST(DataTracker, TracksInputCopies) {
 TEST(DataCopy, RefcountsAndReleasesIntoTracker) {
   World w(cfg(1));
   {
-    rt::DataCopy<std::vector<double>> d(w.data_tracker(), nullptr, w.comm(), 0,
+    rt::DataCopy<std::vector<double>> d(w.data_tracker(), w.comm(), 0,
                                         std::vector<double>{1.0, 2.0, 3.0});
     EXPECT_TRUE(static_cast<bool>(d));
     EXPECT_EQ(d.use_count(), 1);
@@ -88,7 +88,7 @@ TEST(DataCopy, RefcountsAndReleasesIntoTracker) {
 
 TEST(DataCopy, SerializeOncePolicyCachesTheBuffer) {
   World w(cfg(1, BackendKind::Parsec));  // serialize_once on by default
-  rt::DataCopy<std::vector<double>> d(w.data_tracker(), nullptr, w.comm(), 0,
+  rt::DataCopy<std::vector<double>> d(w.data_tracker(), w.comm(), 0,
                                       std::vector<double>{4.0, 5.0});
   bool hit = true;
   auto b1 = d.serialized(&hit);
@@ -106,7 +106,7 @@ TEST(DataCopy, SerializeOncePolicyCachesTheBuffer) {
 
 TEST(DataCopy, MadnessPolicyRebuildsPerSend) {
   World w(cfg(1, BackendKind::Madness));  // serialize_once off by default
-  rt::DataCopy<std::vector<double>> d(w.data_tracker(), nullptr, w.comm(), 0,
+  rt::DataCopy<std::vector<double>> d(w.data_tracker(), w.comm(), 0,
                                       std::vector<double>{4.0, 5.0});
   bool hit = true;
   auto b1 = d.serialized(&hit);
@@ -127,7 +127,7 @@ TEST(DataCopy, PolicyOverrideTurnsCachingOnForMadness) {
   World w(c);
   EXPECT_TRUE(w.comm().serialize_once());
   EXPECT_FALSE(w.comm().zero_copy_local());
-  rt::DataCopy<std::vector<double>> d(w.data_tracker(), nullptr, w.comm(), 0,
+  rt::DataCopy<std::vector<double>> d(w.data_tracker(), w.comm(), 0,
                                       std::vector<double>{6.0});
   bool hit = false;
   (void)d.serialized(&hit);
@@ -141,8 +141,7 @@ TEST(DataCopy, PolicyOverrideTurnsCachingOnForMadness) {
 
 TEST(DataCopy, FenceLeakCheckTripsOnALeakedHandle) {
   World w(cfg(1));
-  auto leaked = std::make_unique<rt::DataCopy<int>>(w.data_tracker(), nullptr,
-                                                    w.comm(), 0, 7);
+  auto leaked = std::make_unique<rt::DataCopy<int>>(w.data_tracker(), w.comm(), 0, 7);
   EXPECT_THROW(w.fence(), support::ApiError);
   leaked.reset();
   EXPECT_NO_THROW(w.fence());
@@ -211,32 +210,6 @@ TEST(SerializeOnce, NonCoalescedAblationKeepsPerKeyMessages) {
   EXPECT_EQ(cs.messages, 5u);
   EXPECT_EQ(cs.serializations, 1u);
   EXPECT_EQ(cs.serialize_hits, 4u);
-}
-
-TEST(SerializeOnce, TracerSeesAllocationsAndCacheHits) {
-  auto c = cfg(4, BackendKind::Parsec);
-  World w(c);
-  w.enable_tracing();
-  Edge<Int1, std::vector<double>> in("in"), out_e("out");
-  auto tt = make_tt(w,
-                    [](const Int1&, std::vector<double>& v,
-                       std::tuple<Out<Int1, std::vector<double>>>& out) {
-                      ttg::broadcast<0>(std::vector<Int1>{{1}, {2}, {3}}, v, out);
-                    },
-                    edges(in), edges(out_e), "bcaster");
-  tt->set_keymap([](const Int1&) { return 0; });
-  auto sink = make_sink(w, out_e, [](const Int1&, std::vector<double>&) {});
-  sink->set_keymap([](const Int1& k) { return k.i % 4; });
-  make_graph_executable(*tt);
-  make_graph_executable(*sink);
-  tt->invoke(Int1{0}, std::vector<double>{9.0});
-  w.fence();
-  const auto t = w.tracer().totals();
-  EXPECT_EQ(t.data_allocs, 1u);
-  EXPECT_EQ(t.data_releases, 1u);
-  EXPECT_EQ(t.payload_serializations, 1u);
-  EXPECT_EQ(t.serialize_cache_hits, 2u);
-  EXPECT_EQ(w.tracer().rank_counters(0).data_allocs, 1u);
 }
 
 // ---- splitmd broadcast: one shared block instead of per-destination copies ----

@@ -3,163 +3,25 @@
 // The load-bearing contract: device=Off IS the pre-device runtime — same
 // makespans, same message counts, same numerics — even for TTs that
 // registered a device op, and even though the collective tuning now derives
-// from the machine model instead of per-backend constants. The golden rows
-// below are the same pre-refactor captures test_steal.cpp pins; repeating
-// them here keeps the device plane honest against them directly. On top:
-// derived-tuning pins, deterministic greedy placement (serial, sharded,
-// faulty), placement-invariant numerics, residency/eviction counters, the
-// DataCopy staging lifecycle, and the fence-time residency reconciliation.
+// from the machine model instead of per-backend constants. The StealEquiv
+// goldens in test_steal.cpp pin that (device=Off is the default there). On
+// top: derived-tuning pins, deterministic greedy placement (serial, sharded,
+// faulty), placement-invariant numerics, residency/eviction counters, and
+// the fence-time residency reconciliation.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "apps/bspmm/bspmm_ttg.hpp"
 #include "apps/cholesky/cholesky_ttg.hpp"
-#include "apps/fw_apsp/fw_ttg.hpp"
-#include "apps/mra/mra_ttg.hpp"
 #include "linalg/matrix_gen.hpp"
 #include "runtime/collective.hpp"
-#include "sparse/yukawa_gen.hpp"
 #include "support/rng.hpp"
 #include "ttg/ttg.hpp"
 
 namespace {
 
 using namespace ttg;
-
-// ---------------------------------------------------------------------------
-// device=Off equivalence with the pre-device runtime (golden rows)
-// ---------------------------------------------------------------------------
-
-struct Golden {
-  const char* app;
-  const char* backend;
-  double makespan;
-  std::uint64_t messages;
-  std::uint64_t splitmd_sends;
-  std::uint64_t tasks;
-  double checksum;
-};
-
-// Captured on the pre-device runtime (identical to test_steal.cpp's rows:
-// the device plane and the machine-derived collective tuning must not move
-// a single bit with placement Off).
-constexpr Golden kGolden[] = {
-    {"potrf", "parsec", 0.011019046033279654, 0ull, 38ull, 56ull,
-     5341.2622308796535},
-    {"fw", "parsec", 0.010114634948240147, 0ull, 128ull, 512ull,
-     25938.648754752114},
-    {"bspmm", "parsec", 0.0014136615217391184, 847ull, 1640ull, 18586ull,
-     3.0506868746361206},
-    {"mra", "parsec", 0.00034552836521739105, 1367ull, 352ull, 6272ull,
-     6.0620249749848053e-06},
-    {"potrf", "madness", 0.012440797165861498, 38ull, 0ull, 56ull,
-     5341.2622308796535},
-    {"fw", "madness", 0.011743691938095222, 128ull, 0ull, 512ull,
-     25938.648754752114},
-    {"bspmm", "madness", 0.0038405752449275398, 2487ull, 0ull, 18586ull,
-     3.0506868746361206},
-    {"mra", "madness", 0.00050195266086956421, 1064ull, 0ull, 6272ull,
-     6.0620249749848036e-06},
-};
-
-const Golden& golden(const std::string& app, rt::BackendKind b) {
-  for (const auto& g : kGolden)
-    if (app == g.app && std::string(rt::to_string(b)) == g.backend) return g;
-  ADD_FAILURE() << "no golden row for " << app;
-  return kGolden[0];
-}
-
-void expect_golden(const Golden& g, double makespan, std::uint64_t messages,
-                   std::uint64_t splitmd, std::uint64_t tasks, double checksum) {
-  EXPECT_EQ(makespan, g.makespan) << g.app << "/" << g.backend;
-  EXPECT_EQ(messages, g.messages) << g.app << "/" << g.backend;
-  EXPECT_EQ(splitmd, g.splitmd_sends) << g.app << "/" << g.backend;
-  EXPECT_EQ(tasks, g.tasks) << g.app << "/" << g.backend;
-  EXPECT_EQ(checksum, g.checksum) << g.app << "/" << g.backend;
-}
-
-TEST(DeviceEquiv, PotrfOffMatchesPreDeviceGolden) {
-  for (auto b : {rt::BackendKind::Parsec, rt::BackendKind::Madness}) {
-    support::Rng rng(5);
-    auto a = linalg::random_spd(rng, 1536, 256);
-    rt::WorldConfig cfg;
-    cfg.nranks = 4;
-    cfg.backend = b;
-    rt::World world(cfg);
-    auto res = apps::cholesky::run(world, a);
-    double cs = 0.0;
-    for (int m = 0; m < res.matrix.ntiles(); ++m)
-      for (int n = 0; n <= m; ++n) cs += res.matrix.tile(m, n).norm();
-    expect_golden(golden("potrf", b), res.makespan, world.comm().stats().messages,
-                  world.comm().stats().splitmd_sends, res.tasks, cs);
-  }
-}
-
-TEST(DeviceEquiv, FwOffMatchesPreDeviceGolden) {
-  for (auto b : {rt::BackendKind::Parsec, rt::BackendKind::Madness}) {
-    support::Rng rng(11);
-    auto w0 = linalg::random_adjacency(rng, 1024, 128, 0.25);
-    rt::WorldConfig cfg;
-    cfg.nranks = 4;
-    cfg.backend = b;
-    rt::World world(cfg);
-    auto res = apps::fw::run(world, w0);
-    double cs = 0.0;
-    for (int i = 0; i < res.matrix.ntiles(); ++i)
-      for (int j = 0; j < res.matrix.ntiles(); ++j)
-        cs += res.matrix.tile(i, j).norm();
-    expect_golden(golden("fw", b), res.makespan, world.comm().stats().messages,
-                  world.comm().stats().splitmd_sends, res.tasks, cs);
-  }
-}
-
-sparse::BlockSparseMatrix small_yukawa() {
-  sparse::YukawaParams p;
-  p.natoms = 40;
-  p.max_tile = 64;
-  p.box = 60.0;
-  p.screening_length = 5.0;
-  p.threshold = 1e-3;
-  p.seed = 7;
-  return sparse::yukawa_matrix(p);
-}
-
-TEST(DeviceEquiv, BspmmOffMatchesPreDeviceGolden) {
-  auto a = small_yukawa();
-  for (auto b : {rt::BackendKind::Parsec, rt::BackendKind::Madness}) {
-    rt::WorldConfig cfg;
-    cfg.nranks = 4;
-    cfg.backend = b;
-    rt::World world(cfg);
-    auto res = apps::bspmm::run(world, a, a, {});
-    double cs = 0.0;
-    for (auto [i, j] : res.c.nonzeros()) cs += res.c.at(i, j).norm();
-    expect_golden(golden("bspmm", b), res.makespan, world.comm().stats().messages,
-                  world.comm().stats().splitmd_sends, res.tasks, cs);
-  }
-}
-
-TEST(DeviceEquiv, MraOffMatchesPreDeviceGolden) {
-  auto fns = ttg::mra::random_gaussians(8, 3.0e4, 2022);
-  ttg::mra::MraContext ctx(6, fns);
-  for (auto b : {rt::BackendKind::Parsec, rt::BackendKind::Madness}) {
-    rt::WorldConfig cfg;
-    cfg.nranks = 8;
-    cfg.backend = b;
-    rt::World world(cfg);
-    apps::mra::Options opt;
-    opt.tol = 1e-4;
-    opt.rand_level = 2;
-    auto res = apps::mra::run(world, ctx, opt);
-    double cs = 0.0;
-    for (const auto& [fid, n2] : res.norm2_compressed) cs += n2;
-    for (const auto& [fid, n2] : res.norm2_reconstructed) cs += n2;
-    expect_golden(golden("mra", b), res.makespan, world.comm().stats().messages,
-                  world.comm().stats().splitmd_sends, res.tasks, cs);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // machine-derived collective tuning (the constants the goldens ride on)
@@ -324,47 +186,12 @@ TEST(DeviceNumerics, PlacementInvariantAcrossAllPolicies) {
   EXPECT_LT(greedy.makespan, off.makespan);
 }
 
-TEST(DeviceCounters, TracerMirrorsSchedulerStats) {
-  support::Rng rng(5);
-  auto a = linalg::random_spd(rng, 1024, 256);
-  rt::WorldConfig cfg = device_world(rt::DevicePlacement::Greedy);
-  rt::World world(cfg);
-  world.enable_tracing();
-  apps::cholesky::run(world, a);
-  rt::DeviceStats sched;
-  for (int r = 0; r < world.nranks(); ++r) {
-    const auto& s = world.scheduler(r).device_stats();
-    sched.device_tasks += s.device_tasks;
-    sched.h2d_transfers += s.h2d_transfers;
-    sched.h2d_bytes += s.h2d_bytes;
-    sched.d2h_transfers += s.d2h_transfers;
-    sched.residency_hits += s.residency_hits;
-    sched.residency_misses += s.residency_misses;
-    sched.evictions += s.evictions;
-  }
-  EXPECT_GT(sched.device_tasks, 0u);
-  const auto totals = world.tracer().totals();
-  EXPECT_EQ(totals.device_tasks, sched.device_tasks);
-  EXPECT_EQ(totals.h2d_transfers, sched.h2d_transfers);
-  EXPECT_EQ(totals.h2d_bytes, sched.h2d_bytes);
-  EXPECT_EQ(totals.d2h_transfers, sched.d2h_transfers);
-  EXPECT_EQ(totals.residency_hits, sched.residency_hits);
-  EXPECT_EQ(totals.residency_misses, sched.residency_misses);
-  EXPECT_EQ(totals.device_evictions, sched.evictions);
-  // The DataTracker sees the same staging traffic.
-  const auto dt = world.data_tracker().totals();
-  EXPECT_EQ(dt.h2d_transfers, sched.h2d_transfers);
-  EXPECT_EQ(dt.h2d_bytes, sched.h2d_bytes);
-  EXPECT_EQ(dt.device_hits, sched.residency_hits);
-}
-
 TEST(DeviceCounters, ZeroWhenOffEverywhere) {
   support::Rng rng(5);
   auto a = linalg::random_spd(rng, 512, 128);
   rt::WorldConfig cfg;
   cfg.nranks = 4;
   rt::World world(cfg);
-  world.enable_tracing();
   apps::cholesky::run(world, a);
   for (int r = 0; r < world.nranks(); ++r) {
     const auto& s = world.scheduler(r).device_stats();
@@ -374,11 +201,6 @@ TEST(DeviceCounters, ZeroWhenOffEverywhere) {
     EXPECT_EQ(world.scheduler(r).device_busy(), 0.0);
     EXPECT_EQ(world.scheduler(r).device_resident_bytes(), 0u);
   }
-  const auto totals = world.tracer().totals();
-  EXPECT_EQ(totals.device_tasks, 0u);
-  EXPECT_EQ(totals.h2d_transfers, 0u);
-  EXPECT_EQ(totals.residency_hits, 0u);
-  EXPECT_EQ(totals.residency_misses, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -406,43 +228,6 @@ TEST(DeviceResidency, SmallHbmForcesEvictionsAndWritebacks) {
   EXPECT_GT(r.stats.h2d_bytes, roomy.stats.h2d_bytes);
   // Numerics are immune to eviction thrash.
   EXPECT_EQ(r.checksum, roomy.checksum);
-}
-
-// ---------------------------------------------------------------------------
-// DataCopy device staging lifecycle
-// ---------------------------------------------------------------------------
-
-TEST(DeviceDataCopy, StagingLifecycleBalances) {
-  rt::WorldConfig cfg;
-  cfg.nranks = 1;
-  rt::World w(cfg);
-  auto& dt = w.data_tracker();
-  {
-    rt::DataCopy<int> c(dt, nullptr, w.comm(), 0, 42);
-    EXPECT_EQ(c.device(), -1);
-    EXPECT_TRUE(c.stage_to_device(0));    // cold: pays the H2D transfer
-    EXPECT_FALSE(c.stage_to_device(0));   // resident: free hit
-    EXPECT_EQ(c.device(), 0);
-    EXPECT_EQ(dt.rank_stats(0).h2d_transfers, 1u);
-    EXPECT_EQ(dt.rank_stats(0).device_hits, 1u);
-    EXPECT_TRUE(c.stage_to_device(1));    // migrate: clean drop + new staging
-    EXPECT_EQ(dt.rank_stats(0).h2d_transfers, 2u);
-    EXPECT_EQ(dt.rank_stats(0).d2h_transfers, 0u);
-    c.unstage(/*dirty=*/true);            // dirty: pays the writeback
-    EXPECT_EQ(dt.rank_stats(0).d2h_transfers, 1u);
-    EXPECT_EQ(c.device(), -1);
-    c.unstage(true);                      // no-op when host-only
-    EXPECT_EQ(dt.rank_stats(0).d2h_transfers, 1u);
-  }
-  EXPECT_EQ(dt.rank_stats(0).device_live_bytes, 0u);
-  {
-    rt::DataCopy<int> c(dt, nullptr, w.comm(), 0, 7);
-    c.stage_to_device(0);
-    EXPECT_EQ(dt.rank_stats(0).device_live_bytes, sizeof(int));
-    EXPECT_GT(dt.rank_stats(0).device_watermark, 0u);
-  }  // dtor auto-unstages (clean) so the books balance
-  EXPECT_EQ(dt.rank_stats(0).device_live_bytes, 0u);
-  w.fence();
 }
 
 // ---------------------------------------------------------------------------

@@ -437,7 +437,7 @@ TEST(EventFnTest, NullArenaAndOversizeFallBackToHeapCounted) {
   static_assert(sizeof(Huge) > ttg::sim::FnArena::kPayload);
   ttg::sim::FnArena arena;
   {
-    EventFn oversize(Huge{.sink = &sink}, &arena);  // arena present but too small
+    EventFn oversize(Huge{.pad = {}, .sink = &sink}, &arena);  // arena too small
     oversize();
   }
   EXPECT_EQ(EventFn::heap_allocations(), before + 2);

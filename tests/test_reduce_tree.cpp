@@ -115,11 +115,12 @@ TEST(TreeLayout, EachNodeGroupHasExactlyOneUplink) {
     const int par_node = topo.node_of(shape.ranks[static_cast<std::size_t>(
         shape.parent[static_cast<std::size_t>(p)])]);
     if (par_node == node) continue;
-    for (int q = 1; q <= shape.nmembers(); ++q)
-      if (topo.node_of(shape.ranks[static_cast<std::size_t>(q)]) == node)
-        EXPECT_TRUE(std::find(sub.begin(), sub.end(), q) != sub.end())
-            << "rank " << shape.ranks[static_cast<std::size_t>(q)]
-            << " outside its node's subtree";
+    for (int q = 1; q <= shape.nmembers(); ++q) {
+      if (topo.node_of(shape.ranks[static_cast<std::size_t>(q)]) != node) continue;
+      EXPECT_TRUE(std::find(sub.begin(), sub.end(), q) != sub.end())
+          << "rank " << shape.ranks[static_cast<std::size_t>(q)]
+          << " outside its node's subtree";
+    }
   }
 }
 

@@ -1,22 +1,26 @@
 // Tests for the structured observability subsystem: causality graph and
 // critical-path analysis, Chrome-trace export (parsed back with the
 // in-repo JSON parser), per-rank counter conservation, backend
-// distinction (MADNESS copies vs PaRSEC splitmd), and the scheduler
+// distinction (MADNESS copies vs PaRSEC splitmd), the scheduler
 // semantics the tracer makes observable (priority-first FIFO tie-break,
-// charge() accounting).
+// charge() accounting), and trace on/off invariance of every result.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "apps/bspmm/bspmm_ttg.hpp"
 #include "apps/cholesky/cholesky_ttg.hpp"
+#include "linalg/matrix_gen.hpp"
 #include "sparse/yukawa_gen.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
+#include "support/rng.hpp"
 #include "support/table.hpp"
 #include "ttg/ttg.hpp"
 
@@ -460,6 +464,95 @@ TEST(Reports, BreakdownTableCoversAllRanks) {
     EXPECT_NE(text.find(col), std::string::npos) << col;
   }
   delete world;
+}
+
+// --- tracing never changes results -------------------------------------
+
+/// Everything a run produces besides its trace. The counter structs are
+/// plain aggregates, so memcmp compares every field.
+struct RunCounts {
+  double makespan = 0.0;
+  std::uint64_t events = 0;
+  rt::CommStats comm{};
+  net::NetStats net{};
+  rt::DataTracker::RankStats data{};
+  std::vector<rt::StealStats> steal;
+  std::vector<rt::DeviceStats> device;
+};
+
+RunCounts counts_of(rt::World& w, double makespan) {
+  RunCounts c;
+  c.makespan = makespan;
+  c.events = w.engine().events_processed();
+  c.comm = w.comm().stats();
+  c.net = w.network().stats();
+  c.data = w.data_tracker().totals();
+  for (int r = 0; r < w.nranks(); ++r) {
+    c.steal.push_back(w.scheduler(r).steal_stats());
+    c.device.push_back(w.scheduler(r).device_stats());
+  }
+  return c;
+}
+
+void expect_same_counts(const RunCounts& traced, const RunCounts& plain) {
+  EXPECT_EQ(traced.makespan, plain.makespan);  // bit-identical, not near
+  EXPECT_EQ(traced.events, plain.events);
+  EXPECT_EQ(0, std::memcmp(&traced.comm, &plain.comm, sizeof(rt::CommStats)));
+  EXPECT_EQ(0, std::memcmp(&traced.net, &plain.net, sizeof(net::NetStats)));
+  EXPECT_EQ(0, std::memcmp(&traced.data, &plain.data,
+                           sizeof(rt::DataTracker::RankStats)));
+  ASSERT_EQ(traced.steal.size(), plain.steal.size());
+  for (std::size_t r = 0; r < plain.steal.size(); ++r) {
+    EXPECT_EQ(0, std::memcmp(&traced.steal[r], &plain.steal[r],
+                             sizeof(rt::StealStats)))
+        << "rank " << r;
+    EXPECT_EQ(0, std::memcmp(&traced.device[r], &plain.device[r],
+                             sizeof(rt::DeviceStats)))
+        << "rank " << r;
+  }
+}
+
+TEST(TraceOnOff, ResultsAndCountersBitIdentical) {
+  // Real POTRF with stealing and greedy GPU placement on PaRSEC: every
+  // scheduler count lives outside the Tracer and must not move with it.
+  support::Rng rng(5);
+  const auto spd = linalg::random_spd(rng, 768, 128);
+  auto potrf = [&](bool traced) {
+    rt::WorldConfig cfg = tiny_world(rt::BackendKind::Parsec, 2, 2);
+    cfg.work_stealing = true;
+    cfg.device = rt::DevicePlacement::Greedy;
+    rt::World w(cfg);
+    if (traced) w.enable_tracing();
+    const auto res = apps::cholesky::run(w, spd);
+    return counts_of(w, res.makespan);
+  };
+  const RunCounts plain = potrf(false);
+  std::uint64_t steals = 0, device_tasks = 0;
+  for (std::size_t r = 0; r < plain.steal.size(); ++r) {
+    steals += plain.steal[r].steals_local + plain.steal[r].steals_remote;
+    device_tasks += plain.device[r].device_tasks;
+  }
+  EXPECT_GT(steals, 0u);
+  EXPECT_GT(device_tasks, 0u);
+  expect_same_counts(potrf(true), plain);
+
+  // MADNESS bspmm: AM-server queueing and whole-object serialization.
+  sparse::YukawaParams p;
+  p.natoms = 40;
+  p.max_tile = 64;
+  p.ghost = true;
+  const auto a = sparse::yukawa_matrix(p);
+  auto bspmm = [&](bool traced) {
+    rt::World w(tiny_world(rt::BackendKind::Madness, 4));
+    if (traced) w.enable_tracing();
+    apps::bspmm::Options opt;
+    opt.collect = false;
+    const auto res = apps::bspmm::run(w, a, a, opt);
+    return counts_of(w, res.makespan);
+  };
+  const RunCounts mad = bspmm(false);
+  EXPECT_GT(mad.comm.serializations, 0u);
+  expect_same_counts(bspmm(true), mad);
 }
 
 // --- JSON parser (support layer) ---------------------------------------
