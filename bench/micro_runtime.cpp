@@ -154,7 +154,8 @@ void BM_SchedulerThroughput(benchmark::State& state) {
     cfg.machine.cores_per_node = 8;
     rt::World w(cfg);
     const int n = static_cast<int>(state.range(0));
-    for (int i = 0; i < n; ++i) w.scheduler(0).submit(i % 3, 1e-6, [] {});
+    for (int i = 0; i < n; ++i)
+      w.scheduler(0).submit({.priority = i % 3, .cost = 1e-6, .body = [] {}});
     w.fence();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));

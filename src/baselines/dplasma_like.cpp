@@ -138,12 +138,13 @@ class PtgCholesky {
         prio = nt_ - k;
         break;
     }
-    world_.scheduler(rank).submit(prio, cost, [this, rank, kind, m, n, k]() {
-      world_.run_as(rank, [&]() {
-        ++tasks_;
-        execute(rank, kind, m, n, k);
-      });
-    });
+    world_.scheduler(rank).submit(
+        {.priority = prio, .cost = cost, .body = [this, rank, kind, m, n, k]() {
+           world_.run_as(rank, [&]() {
+             ++tasks_;
+             execute(rank, kind, m, n, k);
+           });
+         }});
   }
 
   void execute(int rank, Kind kind, int m, int n, int k) {

@@ -52,16 +52,6 @@ NativeMraResult run_native_mra(rt::World& world, const MraContext& ctx,
   std::vector<std::unordered_map<int, Coeffs>> roots(
       static_cast<std::size_t>(nranks));
 
-  /// Charge the per-rank re-allocation of the stored tree between steps.
-  auto charge_realloc = [&](std::size_t bytes_per_node, std::size_t nodes_rank[]) {
-    for (int r = 0; r < nranks; ++r) {
-      const double t = machine.copy_time(bytes_per_node * nodes_rank[r]);
-      world.scheduler(r).submit(0, t, []() {});
-    }
-    world.fence();
-  };
-  (void)charge_realloc;
-
   const std::size_t node_bytes =
       static_cast<std::size_t>(ts.coeffs_per_node()) * sizeof(double);
 
@@ -92,9 +82,9 @@ NativeMraResult run_native_mra(rt::World& world, const MraContext& ctx,
 
   // Re-allocation of the completed tree before the next step.
   for (int r = 0; r < nranks; ++r) {
+    const std::size_t nodes = leaves[static_cast<std::size_t>(r)].size();
     world.scheduler(r).submit(
-        0, machine.copy_time(node_bytes * leaves[static_cast<std::size_t>(r)].size()),
-        []() {});
+        {.cost = machine.copy_time(node_bytes * nodes), .body = []() {}});
   }
   world.fence();
 
@@ -174,11 +164,9 @@ NativeMraResult run_native_mra(rt::World& world, const MraContext& ctx,
   }
 
   for (int r = 0; r < nranks; ++r) {
+    const std::size_t nodes = 8 * dstore[static_cast<std::size_t>(r)].size();
     world.scheduler(r).submit(
-        0,
-        machine.copy_time(node_bytes * 8 *
-                          dstore[static_cast<std::size_t>(r)].size()),
-        []() {});
+        {.cost = machine.copy_time(node_bytes * nodes), .body = []() {}});
   }
   world.fence();
 
@@ -228,7 +216,7 @@ NativeMraResult run_native_mra(rt::World& world, const MraContext& ctx,
     const double hops =
         nranks > 1 ? 2.0 * std::ceil(std::log2(static_cast<double>(nranks))) : 0.0;
     for (int r = 0; r < nranks; ++r)
-      world.scheduler(r).submit(0, hops * machine.net_latency, []() {});
+      world.scheduler(r).submit({.cost = hops * machine.net_latency, .body = []() {}});
     world.fence();
   }
 

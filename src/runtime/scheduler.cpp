@@ -18,33 +18,44 @@ Scheduler::Scheduler(sim::Engine& engine, int rank, int workers)
   core_busy_.assign(static_cast<std::size_t>(workers), 0.0);
 }
 
-void Scheduler::submit(int priority, double cost, std::function<void()> body) {
-  submit_node(kDefaultJob, priority, cost, Tracer::kNoNode, std::move(body));
-}
-
-void Scheduler::submit(int priority, double cost, std::string name,
-                       std::function<void()> body) {
-  submit(priority, cost, std::move(name), std::string(), std::move(body));
-}
-
-void Scheduler::submit(int priority, double cost, std::string name, std::string key,
-                       std::function<void()> body) {
-  submit(kDefaultJob, priority, cost, std::move(name), std::move(key),
-         std::move(body));
-}
-
-void Scheduler::submit(JobId job, int priority, double cost,
-                       std::function<void()> body) {
-  submit_node(job, priority, cost, Tracer::kNoNode, std::move(body));
-}
-
-void Scheduler::submit(JobId job, int priority, double cost, std::string name,
-                       std::string key, std::function<void()> body) {
+void Scheduler::submit(Task task) {
+  TTG_CHECK(task.cost >= 0.0, "negative task cost");
   const std::uint32_t node =
-      tracer_ != nullptr
-          ? tracer_->task_created(std::move(name), std::move(key), rank_, priority)
+      tracer_ != nullptr && !task.name.empty()
+          ? tracer_->task_created(std::move(task.name), std::move(task.key), rank_,
+                                  task.priority)
           : Tracer::kNoNode;
-  submit_node(job, priority, cost, node, std::move(body));
+  JobQueue& jq = queues_[task.job];
+  jq.counters.submitted += 1;
+  if (task.device && device_.enabled) {
+    const int gpu = pick_gpu(task.job, task.cost, *task.device);
+    if (gpu >= 0) {
+      const double staging = stage_datums(task.job, gpu, *task.device);
+      device_stats_.device_tasks += 1;
+      start_device(Ready{task.job, task.priority, next_seq_++,
+                         staging + device_.launch_overhead + task.device->cost,
+                         std::move(task.body), node},
+                   gpu);
+      return;
+    }
+    device_stats_.host_tasks += 1;
+  }
+  Ready ready{task.job, task.priority, next_seq_++, task.cost * compute_factor_,
+              std::move(task.body), node};
+  if (!idle_workers_.empty() && (jq.cap == 0 || jq.counters.inflight < jq.cap)) {
+    const int worker = idle_workers_.back();
+    idle_workers_.pop_back();
+    start(std::move(ready), worker);
+  } else if (steal_.enabled && jq.cap == 0) {
+    // Deque substrate: a task made ready inside a body stays with its
+    // producing core; outside-body submissions spread round-robin. Capped
+    // jobs never enter a deque (cap accounting stays on the heap path).
+    const int w = current_worker_ >= 0 ? current_worker_ : rr_cursor_;
+    if (current_worker_ < 0) rr_cursor_ = (rr_cursor_ + 1) % workers_;
+    deques_[static_cast<std::size_t>(w)].push_back(std::move(ready));
+  } else {
+    jq.heap.push(std::move(ready));
+  }
 }
 
 void Scheduler::configure_job(JobId job, int weight, int inflight_cap) {
@@ -106,66 +117,13 @@ const Scheduler::JobCounters& Scheduler::job_counters(JobId job) const {
   return it != queues_.end() ? it->second.counters : kZero;
 }
 
-std::size_t Scheduler::queued() const {
-  std::size_t n = 0;
-  for (const auto& [job, jq] : queues_) n += jq.heap.size();
-  for (const auto& d : deques_) n += d.size();
-  return n;
-}
-
 void Scheduler::set_compute_factor(double f) {
   TTG_CHECK(f > 0.0, "compute factor must be positive");
   compute_factor_ = f;
 }
 
-void Scheduler::submit_node(JobId job, int priority, double cost,
-                            std::uint32_t trace_node, std::function<void()> body) {
-  TTG_CHECK(cost >= 0.0, "negative task cost");
-  JobQueue& jq = queues_[job];
-  jq.counters.submitted += 1;
-  Ready task{job,  priority, next_seq_++, cost * compute_factor_, std::move(body),
-             trace_node};
-  if (!idle_workers_.empty() && (jq.cap == 0 || jq.counters.inflight < jq.cap)) {
-    const int worker = idle_workers_.back();
-    idle_workers_.pop_back();
-    start(std::move(task), worker);
-  } else if (steal_.enabled && jq.cap == 0) {
-    // Deque substrate: a task made ready inside a body stays with its
-    // producing core; outside-body submissions spread round-robin. Capped
-    // jobs never enter a deque (cap accounting stays on the heap path).
-    const int w = current_worker_ >= 0 ? current_worker_ : rr_cursor_;
-    if (current_worker_ < 0) rr_cursor_ = (rr_cursor_ + 1) % workers_;
-    deques_[static_cast<std::size_t>(w)].push_back(std::move(task));
-  } else {
-    jq.heap.push(std::move(task));
-  }
-}
-
-void Scheduler::submit_device(JobId job, int priority, double host_cost,
-                              DeviceCall dev, std::function<void()> body) {
-  submit_device_node(job, priority, host_cost, std::move(dev), Tracer::kNoNode,
-                     std::move(body));
-}
-
-void Scheduler::submit_device(JobId job, int priority, double host_cost,
-                              DeviceCall dev, std::string name, std::string key,
-                              std::function<void()> body) {
-  const std::uint32_t node =
-      tracer_ != nullptr
-          ? tracer_->task_created(std::move(name), std::move(key), rank_, priority)
-          : Tracer::kNoNode;
-  submit_device_node(job, priority, host_cost, std::move(dev), node, std::move(body));
-}
-
-void Scheduler::submit_device_node(JobId job, int priority, double host_cost,
-                                   DeviceCall dev, std::uint32_t trace_node,
-                                   std::function<void()> body) {
-  if (!device_.enabled) {
-    // Off state: exactly the host submit path (bit-identical baselines).
-    submit_node(job, priority, host_cost, trace_node, std::move(body));
-    return;
-  }
-  TTG_CHECK(host_cost >= 0.0 && dev.cost >= 0.0, "negative task cost");
+int Scheduler::pick_gpu(JobId job, double host_cost, const DeviceCall& dev) const {
+  TTG_CHECK(dev.cost >= 0.0, "negative device task cost");
   // Greedy placement: for each GPU estimate queue wait + staging of
   // non-resident inputs + launch + kernel, take the best, and compare it to
   // the host-side cost. The estimate deliberately ignores eviction
@@ -191,17 +149,8 @@ void Scheduler::submit_device_node(JobId job, int priority, double host_cost,
       best = g;
     }
   }
-  if (!device_.always && host_cost * compute_factor_ <= best_finish) {
-    device_stats_.host_tasks += 1;
-    submit_node(job, priority, host_cost, trace_node, std::move(body));
-    return;
-  }
-  const double staging = stage_datums(job, best, dev);
-  const double service = staging + device_.launch_overhead + dev.cost;
-  device_stats_.device_tasks += 1;
-  queues_[job].counters.submitted += 1;
-  Ready task{job, priority, next_seq_++, service, std::move(body), trace_node};
-  start_device(std::move(task), best, service);
+  if (!device_.always && host_cost * compute_factor_ <= best_finish) return -1;
+  return best;
 }
 
 double Scheduler::stage_datums(JobId job, int gpu, const DeviceCall& dev) {
@@ -258,42 +207,24 @@ double Scheduler::stage_datums(JobId job, int gpu, const DeviceCall& dev) {
   return staging;
 }
 
-void Scheduler::start_device(Ready task, int gpu, double service) {
-  const double t_start = engine_.now();
-  {
-    JobCounters& jc = queues_[task.job].counters;
-    jc.inflight += 1;
-    jc.max_inflight = std::max(jc.max_inflight, jc.inflight);
-  }
+void Scheduler::start_device(Ready task, int gpu) {
+  sim::FifoResource& lane = *gpu_lanes_[static_cast<std::size_t>(gpu)];
   // The lane is a FIFO resource: the kernel queues behind earlier dispatches
-  // to the same GPU, and — like the host path — the body runs at the task's
-  // virtual completion instant.
-  gpu_lanes_[static_cast<std::size_t>(gpu)]->submit(
-      service, [this, t_start, gpu, task = std::move(task)]() mutable {
-        double extra = 0.0;
-        in_task_ = true;
-        current_worker_ = -1;  // no host core is occupied by a device body
-        charge_accum_ = &extra;
-        const bool traced = tracer_ != nullptr && task.trace_node != Tracer::kNoNode;
-        if (traced) tracer_->set_context(task.trace_node);
-        task.body();
-        if (traced) tracer_->clear_context();
-        in_task_ = false;
-        charge_accum_ = nullptr;
-        ++tasks_run_;
-        JobCounters& jc = queues_[task.job].counters;
-        jc.tasks_run += 1;
-        jc.inflight -= 1;
-        if (traced) {
-          // Device spans render on per-GPU tracks placed after the host
-          // cores; `extra` is the host-side send CPU charged by the body.
-          tracer_->task_executed(task.trace_node, workers_ + gpu, t_start,
-                                 engine_.now() + extra);
-        }
-        // Freed in-flight credit can make a capped job's queued host tasks
-        // eligible for idle workers.
-        dispatch_idle();
-      });
+  // to the same GPU, so its span starts when the lane frees up, and — like
+  // the host path — the body runs at the task's virtual completion instant.
+  const double t_start = std::max(engine_.now(), lane.free_at());
+  JobCounters& jc = queues_[task.job].counters;
+  jc.max_inflight = std::max(jc.max_inflight, ++jc.inflight);
+  const double service = task.cost;
+  lane.submit(service, [this, t_start, gpu, task = std::move(task)]() mutable {
+    // Device spans render on per-GPU tracks placed after the host cores. No
+    // host core is occupied by a device body.
+    run_body(task, /*worker=*/-1, workers_ + gpu, t_start);
+    queues_[task.job].counters.inflight -= 1;
+    // Freed in-flight credit can make a capped job's queued host tasks
+    // eligible for idle workers.
+    dispatch_idle();
+  });
 }
 
 double Scheduler::charge(double dt) {
@@ -433,37 +364,40 @@ void Scheduler::try_steal(int worker) {
 
 void Scheduler::start(Ready task, int worker) {
   const double t_start = engine_.now();
-  {
-    JobCounters& jc = queues_[task.job].counters;
-    jc.inflight += 1;
-    jc.max_inflight = std::max(jc.max_inflight, jc.inflight);
-  }
+  JobCounters& jc = queues_[task.job].counters;
+  jc.max_inflight = std::max(jc.max_inflight, ++jc.inflight);
   // The body runs at the task's completion instant (see header comment).
   engine_.after(task.cost, [this, t_start, worker, task = std::move(task)]() mutable {
-    double extra = 0.0;
-    in_task_ = true;
-    current_worker_ = worker;
-    charge_accum_ = &extra;
-    const bool traced = tracer_ != nullptr && task.trace_node != Tracer::kNoNode;
-    if (traced) tracer_->set_context(task.trace_node);
-    task.body();
-    if (traced) tracer_->clear_context();
-    in_task_ = false;
-    current_worker_ = -1;
-    charge_accum_ = nullptr;
+    const double extra = run_body(task, worker, worker, t_start);
     busy_ += task.cost + extra;
     core_busy_[static_cast<std::size_t>(worker)] += task.cost + extra;
-    ++tasks_run_;
-    queues_[task.job].counters.tasks_run += 1;
-    if (traced) {
-      tracer_->task_executed(task.trace_node, worker, t_start, engine_.now() + extra);
-    }
     // The worker stays busy for `extra` more seconds (post-body copies),
     // then picks up the next ready task.
     engine_.after(extra, [this, worker, job = task.job]() {
       release_worker(worker, job);
     });
   });
+}
+
+double Scheduler::run_body(Ready& task, int worker, int track, double t_start) {
+  double extra = 0.0;
+  in_task_ = true;
+  current_worker_ = worker;
+  charge_accum_ = &extra;
+  const bool traced = tracer_ != nullptr && task.trace_node != Tracer::kNoNode;
+  if (traced) tracer_->set_context(task.trace_node);
+  task.body();
+  if (traced) tracer_->clear_context();
+  in_task_ = false;
+  current_worker_ = -1;
+  charge_accum_ = nullptr;
+  ++tasks_run_;
+  queues_[task.job].counters.tasks_run += 1;
+  // `extra` is the host-side send CPU charged by the body.
+  if (traced) {
+    tracer_->task_executed(task.trace_node, track, t_start, engine_.now() + extra);
+  }
+  return extra;
 }
 
 }  // namespace ttg::rt

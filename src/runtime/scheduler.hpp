@@ -61,7 +61,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "runtime/job.hpp"
@@ -125,6 +127,20 @@ struct DeviceCall {
   std::vector<DeviceDatum> datums;
 };
 
+/// One ready task, as every caller hands it to Scheduler::submit: `cost`
+/// virtual seconds of host compute, then `body` runs (and may add post-body
+/// CPU via charge()). A non-empty `name` records the task in the tracer, if
+/// tracing is on, with `key` as its rendered task ID. `device` is the
+/// task's device variant, consulted only when the device plane is on.
+struct Task {
+  JobId job = kDefaultJob;
+  int priority = 0;
+  double cost = 0.0;
+  std::string name{}, key{};
+  std::optional<DeviceCall> device{};
+  std::function<void()> body{};
+};
+
 /// Per-rank device-plane counters (all zero when the plane is disabled).
 struct DeviceStats {
   std::uint64_t device_tasks = 0;   ///< device-capable tasks placed on a GPU
@@ -151,24 +167,13 @@ class Scheduler {
 
   Scheduler(sim::Engine& engine, int rank, int workers);
 
-  /// Enqueue a ready task: `cost` virtual seconds of compute, then `body`
-  /// executes (and may add post-body CPU via charge()). Runs as the
-  /// default job (0).
-  void submit(int priority, double cost, std::function<void()> body);
-
-  /// Like submit(), with a template-task name recorded in the tracer
-  /// (if tracing is enabled on this world).
-  void submit(int priority, double cost, std::string name, std::function<void()> body);
-
-  /// Like submit(), with both the template-task name and the rendered task
-  /// key recorded in the tracer.
-  void submit(int priority, double cost, std::string name, std::string key,
-              std::function<void()> body);
-
-  /// Enqueue a ready task on behalf of `job`.
-  void submit(JobId job, int priority, double cost, std::function<void()> body);
-  void submit(JobId job, int priority, double cost, std::string name, std::string key,
-              std::function<void()> body);
+  /// Enqueue a ready task. With the device plane on, a task carrying a
+  /// device variant is placed by the greedy cost model
+  ///   min(host cost, device cost + launch + staging for non-resident
+  ///       inputs + lane queue wait)
+  /// (or forced onto a GPU under DeviceConfig::always); every other task
+  /// takes the host path.
+  void submit(Task task);
 
   /// Install per-job scheduling knobs (WRR weight, in-flight cap). Raising
   /// a cap dispatches newly-eligible queued tasks onto idle workers.
@@ -185,8 +190,8 @@ class Scheduler {
   [[nodiscard]] const StealStats& steal_stats() const { return steal_stats_; }
 
   /// Arm the device plane: per-GPU FIFO resource lanes plus the residency
-  /// table. Call before any task is submitted; disabled (the default) makes
-  /// submit_device() forward to the host path bit-identically.
+  /// table. Call before any task is submitted; disabled (the default) sends
+  /// every task down the host path, device variant or not, bit-identically.
   void configure_device(const DeviceConfig& cfg);
   [[nodiscard]] const DeviceConfig& device_config() const { return device_; }
   [[nodiscard]] const DeviceStats& device_stats() const { return device_stats_; }
@@ -199,17 +204,6 @@ class Scheduler {
   /// Device-residency sink (the World's DataTracker): staged and evicted
   /// bytes are reported into it when set.
   void set_data_tracker(DataTracker* tracker) { data_tracker_ = tracker; }
-
-  /// Enqueue a ready task that carries a device variant. With the device
-  /// plane enabled, placement is the greedy cost-model decision
-  ///   min(host_cost, device cost + launch + staging for non-resident
-  ///       inputs + lane queue wait)
-  /// (or forced onto a GPU under DeviceConfig::always); otherwise this is
-  /// exactly submit(). `name`/`key` feed the tracer like the host overloads.
-  void submit_device(JobId job, int priority, double host_cost, DeviceCall dev,
-                     std::function<void()> body);
-  void submit_device(JobId job, int priority, double host_cost, DeviceCall dev,
-                     std::string name, std::string key, std::function<void()> body);
 
   /// Per-job counters (a zero record for jobs never seen on this rank).
   [[nodiscard]] const JobCounters& job_counters(JobId job) const;
@@ -231,10 +225,6 @@ class Scheduler {
   /// done. Returns 0 outside a task body (graph injection is uncharged).
   double charge(double dt);
 
-  /// Total accumulated CPU time charged after the current body so far
-  /// (zero when not inside a task body).
-  [[nodiscard]] double current_charge() const { return in_task_ ? *charge_accum_ : 0.0; }
-
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int workers() const { return workers_; }
   [[nodiscard]] double busy_time() const { return busy_; }
@@ -246,7 +236,6 @@ class Scheduler {
   /// sockets; the last socket absorbs the remainder).
   [[nodiscard]] int socket_of(int worker) const;
   [[nodiscard]] std::uint64_t tasks_run() const { return tasks_run_; }
-  [[nodiscard]] std::size_t queued() const;
 
  private:
   struct Ready {
@@ -279,17 +268,21 @@ class Scheduler {
     bool dirty = false;          ///< written on device; eviction pays a D2H
   };
 
-  void submit_node(JobId job, int priority, double cost, std::uint32_t trace_node,
-                   std::function<void()> body);
-  void submit_device_node(JobId job, int priority, double host_cost, DeviceCall dev,
-                          std::uint32_t trace_node, std::function<void()> body);
+  /// Greedy placement of a device-capable task: the GPU to run it on, or
+  /// -1 to keep it on the host.
+  [[nodiscard]] int pick_gpu(JobId job, double host_cost, const DeviceCall& dev) const;
   /// Commit `dev`'s datums to GPU `gpu`'s residency table (hits, stagings,
   /// evictions, residency bytes to the tracker); returns the staging seconds
   /// the dispatch pays before the kernel can launch.
   double stage_datums(JobId job, int gpu, const DeviceCall& dev);
-  /// Queue one placed device task on its GPU lane.
-  void start_device(Ready task, int gpu, double service);
+  /// Queue one placed device task (its `cost` is the lane service time) on
+  /// its GPU lane.
+  void start_device(Ready task, int gpu);
   void start(Ready task, int worker);
+  /// Run a task's body at its completion instant: `worker` is the host core
+  /// it occupies (-1 on a GPU lane) and `track` its trace track. Records the
+  /// trace span from `t_start` and returns the post-body CPU the body charged.
+  double run_body(Ready& task, int worker, int track, double t_start);
   /// A core finished its task (post-body charges drained): find it more
   /// work or park it on the idle list.
   void release_worker(int worker, JobId job);

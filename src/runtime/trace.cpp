@@ -387,16 +387,23 @@ class Lanes {
 }  // namespace
 
 std::string Tracer::chrome_trace_json() const {
-  // Track layout, per rank process (pid == rank):
-  //   tid 0..W-1      worker timelines (task spans)
-  //   tid W           tasks that ran off the host cores (device lanes)
-  //   tid W+1         backend message-processing thread (comm/AM server)
-  //   tid W+2+lane    inbound message spans (send->recv)
-  //   tid W+100+lane  RMA gets landing at this rank
+  // Track layout, per rank process (pid == rank), with G the GPU lanes that
+  // ran device tasks (at least one track is reserved for them):
+  //   tid 0..W-1         worker timelines (task spans)
+  //   tid W..W+G-1       GPU lanes (device task spans; the scheduler records
+  //                      them on track W+gpu)
+  //   tid W+G            backend message-processing thread (comm/AM server)
+  //   tid W+G+1+lane     inbound message spans (send->recv)
+  //   tid W+G+99+lane    RMA gets landing at this rank
   // plus a synthetic "network" process (pid == nranks) for wire occupancy.
   const int w = std::max(1, workers_per_rank_);
   int nr = std::max(1, nranks_);
-  for (const auto& t : tasks_) nr = std::max(nr, t.rank + 1);
+  int gpus = 0;
+  for (const auto& t : tasks_) {
+    nr = std::max(nr, t.rank + 1);
+    if (t.executed) gpus = std::max(gpus, t.worker - w + 1);
+  }
+  const int server_tid = w + std::max(1, gpus);
   const int net_pid = nr;
   std::ostringstream os;
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -415,16 +422,17 @@ std::string Tracer::chrome_trace_json() const {
     meta(r, 0, "process_name", "rank " + std::to_string(r));
     for (int i = 0; i < w; ++i)
       meta(r, i, "thread_name", "worker " + std::to_string(i));
-    meta(r, w + 1, "thread_name", "comm server");
+    for (int g = 0; g < gpus; ++g)
+      meta(r, w + g, "thread_name", "gpu " + std::to_string(g));
+    meta(r, server_tid, "thread_name", "comm server");
   }
   meta(net_pid, 0, "process_name", "network");
 
   // Task spans.
   for (const auto& t : tasks_) {
     if (!t.executed) continue;
-    const int tid = t.worker >= 0 && t.worker < w ? t.worker : w;
     emit("{\"ph\":\"X\",\"pid\":" + std::to_string(t.rank) + ",\"tid\":" +
-         std::to_string(tid) + ",\"ts\":" + num(t.start * 1e6) + ",\"dur\":" +
+         std::to_string(t.worker) + ",\"ts\":" + num(t.start * 1e6) + ",\"dur\":" +
          num((t.end - t.start) * 1e6) + ",\"name\":\"" + json_escape(t.name) +
          "\",\"args\":{\"key\":\"" + json_escape(t.key) +
          "\",\"priority\":" + std::to_string(t.priority) + "}}");
@@ -432,7 +440,7 @@ std::string Tracer::chrome_trace_json() const {
   // Server (comm/AM thread) service spans; FIFO, so they never overlap.
   for (const auto& s : server_) {
     emit("{\"ph\":\"X\",\"pid\":" + std::to_string(s.rank) + ",\"tid\":" +
-         std::to_string(w + 1) + ",\"ts\":" + num((s.at + s.wait) * 1e6) +
+         std::to_string(server_tid) + ",\"ts\":" + num((s.at + s.wait) * 1e6) +
          ",\"dur\":" + num(s.service * 1e6) +
          ",\"name\":\"serve\",\"args\":{\"wait_us\":" + num(s.wait * 1e6) + "}}");
   }
@@ -444,7 +452,7 @@ std::string Tracer::chrome_trace_json() const {
       const int lane = lanes[static_cast<std::size_t>(m.dst)].assign(m.send_time,
                                                                      m.recv_time);
       emit("{\"ph\":\"X\",\"pid\":" + std::to_string(m.dst) + ",\"tid\":" +
-           std::to_string(w + 2 + lane) + ",\"ts\":" + num(m.send_time * 1e6) +
+           std::to_string(server_tid + 1 + lane) + ",\"ts\":" + num(m.send_time * 1e6) +
            ",\"dur\":" + num((m.recv_time - m.send_time) * 1e6) + ",\"name\":\"" +
            json_escape((m.splitmd ? "splitmd:" : "msg:") + m.edge) +
            "\",\"args\":{\"src\":" + std::to_string(m.src) + ",\"bytes\":" +
@@ -452,7 +460,7 @@ std::string Tracer::chrome_trace_json() const {
     }
     for (int r = 0; r < nr; ++r)
       for (int i = 0; i < lanes[static_cast<std::size_t>(r)].count(); ++i)
-        meta(r, w + 2 + i, "thread_name", "msg in #" + std::to_string(i));
+        meta(r, server_tid + 1 + i, "thread_name", "msg in #" + std::to_string(i));
   }
   // RMA gets, lane-packed per fetching rank.
   {
@@ -461,14 +469,14 @@ std::string Tracer::chrome_trace_json() const {
       if (g.dst >= nr) continue;
       const int lane = lanes[static_cast<std::size_t>(g.dst)].assign(g.issued, g.landed);
       emit("{\"ph\":\"X\",\"pid\":" + std::to_string(g.dst) + ",\"tid\":" +
-           std::to_string(w + 100 + lane) + ",\"ts\":" + num(g.issued * 1e6) +
+           std::to_string(server_tid + 99 + lane) + ",\"ts\":" + num(g.issued * 1e6) +
            ",\"dur\":" + num(g.latency() * 1e6) +
            ",\"name\":\"rma get\",\"args\":{\"src\":" + std::to_string(g.src) +
            ",\"bytes\":" + std::to_string(g.bytes) + "}}");
     }
     for (int r = 0; r < nr; ++r)
       for (int i = 0; i < lanes[static_cast<std::size_t>(r)].count(); ++i)
-        meta(r, w + 100 + i, "thread_name", "rma #" + std::to_string(i));
+        meta(r, server_tid + 99 + i, "thread_name", "rma #" + std::to_string(i));
   }
   // Wire occupancy on the synthetic network process.
   {

@@ -146,6 +146,9 @@ std::size_t World::unfinished() const {
 }
 
 JobManager& World::jobs() {
+  TTG_REQUIRE(!engine_.sharded(),
+              "multi-tenant serving (World::jobs) needs the serial engine "
+              "(engine_lanes = 0)");
   if (!jobs_) jobs_ = std::make_unique<JobManager>(*this);
   return *jobs_;
 }

@@ -80,7 +80,7 @@ struct WorldConfig {
   // 0 = the serial reference engine (every checked-in baseline); >= 1 shards
   // ranks onto that many event lanes under conservative lookahead, with
   // results bit-identical to serial (tests/test_scale_equiv.cpp). Sharded
-  // multi-tenant serving (JobManager) is not supported yet.
+  // multi-tenant serving (JobManager) is not supported yet: jobs() throws.
   int engine_lanes = 0;
   int engine_threads = 1;  ///< OS threads draining lanes and redistributing
                            ///< at barriers (sharded engine only)
@@ -180,7 +180,8 @@ class World {
   }
 
   /// Multi-tenant job admission/lifecycle (lazily created; owns the
-  /// graph-instantiation cache).
+  /// graph-instantiation cache). Throws ApiError on a sharded engine, which
+  /// does not support serving yet.
   [[nodiscard]] JobManager& jobs();
 
   [[nodiscard]] Scheduler& scheduler(int r) { return *sched_[static_cast<std::size_t>(r)]; }

@@ -135,26 +135,6 @@ Time Engine::run() {
   return now_;
 }
 
-Time Engine::run_until(const std::function<bool()>& pred) {
-  TTG_CHECK(!sharded_, "run_until is only supported by the serial engine");
-  FnArena::OwnerScope arena_own(fn_arena_);
-  while (!queue_.empty()) {
-    Event ev = pop_front();
-    if (ev.slot != nullptr) {
-      const bool skip = ev.slot->cancelled;
-      ev.slot->gen += 1;
-      ev.slot->cancelled = false;
-      free_slots_.push_back(ev.slot);
-      if (skip) continue;
-    }
-    now_ = ev.time;
-    ++processed_;
-    ev.fn();
-    if (pred()) break;
-  }
-  return now_;
-}
-
 // ---------------------------------------------------------------------------
 // Sharded engine.
 // ---------------------------------------------------------------------------

@@ -466,10 +466,6 @@ class Engine {
   /// i.e. the makespan of everything scheduled.
   Time run();
 
-  /// Run until `pred()` becomes true after some event, or the queue drains.
-  /// Serial mode only (tests).
-  Time run_until(const std::function<bool()>& pred);
-
   /// Number of events processed so far (for tests / stats).
   [[nodiscard]] std::uint64_t events_processed() const;
 

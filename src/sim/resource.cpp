@@ -16,19 +16,4 @@ Time FifoResource::reserve(Time service_time) {
   return done;
 }
 
-PoolResource::PoolResource(Engine& engine, std::string name, int servers)
-    : engine_(engine), name_(std::move(name)), free_at_(static_cast<std::size_t>(servers), 0.0) {
-  TTG_CHECK(servers > 0, "pool needs at least one server");
-}
-
-Time PoolResource::reserve(Time service_time) {
-  TTG_CHECK(service_time >= 0.0, "negative service time");
-  auto it = std::min_element(free_at_.begin(), free_at_.end());
-  const Time start = std::max(engine_.now(), *it);
-  const Time done = start + service_time;
-  *it = done;
-  busy_ += service_time;
-  return done;
-}
-
 }  // namespace ttg::sim

@@ -53,30 +53,4 @@ class FifoResource {
   Time busy_ = 0.0;
 };
 
-/// Multi-server FIFO queue: like FifoResource but with `n` identical
-/// servers (e.g. a pool of DMA engines). Requests go to the earliest-free
-/// server.
-class PoolResource {
- public:
-  PoolResource(Engine& engine, std::string name, int servers);
-
-  template <class F>
-  Time submit(Time service_time, F&& on_done) {
-    const Time done = reserve(service_time);
-    engine_.at(done, std::forward<F>(on_done));
-    return done;
-  }
-
-  [[nodiscard]] int servers() const { return static_cast<int>(free_at_.size()); }
-  [[nodiscard]] Time busy_time() const { return busy_; }
-
- private:
-  Time reserve(Time service_time);
-
-  Engine& engine_;
-  std::string name_;
-  std::vector<Time> free_at_;
-  Time busy_ = 0.0;
-};
-
 }  // namespace ttg::sim

@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -62,12 +63,31 @@ std::string Cli::get(const std::string& name) const {
   return it->second.value;
 }
 
+namespace {
+
+/// Parse all of `value` with `conv` (strtoll/strtod shape); an empty,
+/// partly parsed or out-of-range value is an ApiError naming the option.
+template <class Conv>
+auto parse_number(const std::string& name, const std::string& value, const char* what,
+                  Conv conv) {
+  char* end = nullptr;
+  errno = 0;
+  const auto x = conv(value.c_str(), &end);
+  TTG_REQUIRE(!value.empty() && end == value.c_str() + value.size() && errno != ERANGE,
+              "option --" + name + " needs " + what + ", got '" + value + "'");
+  return x;
+}
+
+}  // namespace
+
 std::int64_t Cli::get_int(const std::string& name) const {
-  return std::strtoll(get(name).c_str(), nullptr, 10);
+  return parse_number(name, get(name), "an integer",
+                      [](const char* s, char** end) { return std::strtoll(s, end, 10); });
 }
 
 double Cli::get_double(const std::string& name) const {
-  return std::strtod(get(name).c_str(), nullptr);
+  return parse_number(name, get(name), "a number",
+                      [](const char* s, char** end) { return std::strtod(s, end); });
 }
 
 bool Cli::get_flag(const std::string& name) const { return get(name) == "1"; }

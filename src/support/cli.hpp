@@ -28,6 +28,8 @@ class Cli {
   bool parse(int argc, char** argv);
 
   [[nodiscard]] std::string get(const std::string& name) const;
+  /// Numeric getters throw ApiError, naming the option, on a value that is
+  /// empty, not entirely a number, or out of range.
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;

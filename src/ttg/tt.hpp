@@ -857,52 +857,35 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
 
   void create_task(const Key& key, input_values&& vals) {
     const int rank = world_.rank();
-    const int prio = priomap_ ? priomap_(key) : 0;
-    double cost = 0.0;
-    if (costmap_) {
-      cost = std::apply(
-          [&](const auto&... v) { return costmap_(key, v...); }, vals);
-    }
-    cost += world_.comm().task_overhead();
-    // Resolve the device variant (if any) before the inputs move into the
-    // body closure. With placement Off the device op is never consulted, so
-    // the Off path is bit-identical to a TT without a device op.
-    const bool device_eligible =
-        device_op_ && world_.config().device != rt::DevicePlacement::Off;
-    rt::DeviceCall dev;
-    if (device_eligible) {
-      dev = std::apply([&](const auto&... v) { return device_op_(key, v...); },
-                       vals);
-    }
     // Capture the ambient job at record-completion time: every path that can
     // complete a record (injection, local put, remote delivery) runs under
     // run_as_job, so the task body re-enters the same job when it fires.
     const rt::JobId job = world_.current_job();
-    auto body = [this, rank, job, key, vals = std::move(vals)]() mutable {
-      world_.run_as_job(job, [&]() {
-        world_.run_as(rank, [&]() {
-          ++executed_;
-          call_body(key, vals);
-        });
-      });
+    const bool traced = world_.tracing();
+    // With placement Off the device op is never consulted, so the Off path is
+    // bit-identical to a TT without a device op.
+    const bool on_device =
+        device_op_ && world_.config().device != rt::DevicePlacement::Off;
+    auto call_map = [&](const auto& map) {
+      return std::apply([&](const auto&... v) { return map(key, v...); }, vals);
     };
-    if (device_eligible) {
-      if (world_.tracing()) {
-        world_.scheduler(rank).submit_device(job, prio, cost, std::move(dev),
-                                             name_, key_to_string(key),
-                                             std::move(body));
-      } else {
-        world_.scheduler(rank).submit_device(job, prio, cost, std::move(dev),
-                                             std::move(body));
-      }
-      return;
-    }
-    if (world_.tracing()) {
-      world_.scheduler(rank).submit(job, prio, cost, name_, key_to_string(key),
-                                    std::move(body));
-    } else {
-      world_.scheduler(rank).submit(job, prio, cost, std::move(body));
-    }
+    // Braced initializers run in order, so the cost and device maps read the
+    // inputs before they move into the body closure.
+    world_.scheduler(rank).submit(
+        {.job = job,
+         .priority = priomap_ ? priomap_(key) : 0,
+         .cost = (costmap_ ? call_map(costmap_) : 0.0) + world_.comm().task_overhead(),
+         .name = traced ? name_ : std::string(),
+         .key = traced ? key_to_string(key) : std::string(),
+         .device = on_device ? std::optional(call_map(device_op_)) : std::nullopt,
+         .body = [this, rank, job, key, vals = std::move(vals)]() mutable {
+           world_.run_as_job(job, [&]() {
+             world_.run_as(rank, [&]() {
+               ++executed_;
+               call_body(key, vals);
+             });
+           });
+         }});
   }
 
   void call_body(const Key& key, input_values& vals) {

@@ -247,8 +247,9 @@ TEST(DeviceResidency, FenceCatchesUnbalancedAccounting) {
 }
 
 TEST(DeviceOff, SubmitDeviceForwardsToHostPath) {
-  // submit_device on a device-less scheduler is the host submit, verbatim:
-  // runs on a worker, leaves every device counter untouched.
+  // A task carrying a device variant on a device-less scheduler takes the
+  // host path, verbatim: runs on a worker, leaves every device counter
+  // untouched.
   rt::WorldConfig cfg;
   cfg.machine.cores_per_node = 1;
   cfg.nranks = 1;
@@ -257,10 +258,11 @@ TEST(DeviceOff, SubmitDeviceForwardsToHostPath) {
   rt::DeviceCall dev;
   dev.cost = 1e-9;  // would be absurdly fast on a device, but there is none
   dev.datums = {{/*tag=*/1, /*bytes=*/64, /*write=*/false}};
-  w.scheduler(0).submit(1, 1.0, [&] { order.push_back(1); });
-  w.scheduler(0).submit_device(rt::kDefaultJob, 2, 1.0, dev,
-                               [&] { order.push_back(2); });
-  w.scheduler(0).submit(3, 1.0, [&] { order.push_back(3); });
+  auto& s = w.scheduler(0);
+  s.submit({.priority = 1, .cost = 1.0, .body = [&] { order.push_back(1); }});
+  s.submit({.priority = 2, .cost = 1.0, .device = dev,
+            .body = [&] { order.push_back(2); }});
+  s.submit({.priority = 3, .cost = 1.0, .body = [&] { order.push_back(3); }});
   w.fence();
   // Priority order preserved: the device-eligible task is an ordinary task.
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));

@@ -516,14 +516,4 @@ TEST(EngineShardedDeathTest, AdaptiveWindowStillRejectsLookaheadViolations) {
       "cross-lane event inside the lookahead window");
 }
 
-TEST(EngineShardedDeathTest, RunUntilRequiresSerialEngine) {
-  use_threadsafe_death_tests();
-  EXPECT_DEATH(
-      {
-        Engine eng(sharded_cfg(2, 4));
-        eng.run_until([] { return true; });
-      },
-      "run_until");
-}
-
 }  // namespace

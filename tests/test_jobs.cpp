@@ -16,6 +16,7 @@
 #include "apps/serve/job_graphs.hpp"
 #include "linalg/matrix_gen.hpp"
 #include "runtime/world.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -352,6 +353,16 @@ TEST(Admission, BoundsConcurrencyAndAdmitsFifo) {
   world.fence();
   EXPECT_EQ(completion_order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(jm.cache().stats().hits, 2u);  // serialized jobs share one instance
+}
+
+TEST(Admission, ShardedEngineRejectedUpFront) {
+  // Serving on a sharded engine is not supported, so asking for the
+  // JobManager fails loudly instead of running jobs anyway.
+  WorldConfig cfg;
+  cfg.nranks = 4;
+  cfg.engine_lanes = 2;
+  World world(cfg);
+  EXPECT_THROW((void)world.jobs(), support::ApiError);
 }
 
 TEST(Fairness, InflightCapHonoredThroughServingPath) {

@@ -27,9 +27,9 @@ WorldConfig small_world(BackendKind b = BackendKind::Parsec, int nranks = 2) {
 TEST(Scheduler, RunsTasksOnWorkers) {
   World w(small_world());
   int done = 0;
-  w.scheduler(0).submit(0, 1.0, [&] { ++done; });
-  w.scheduler(0).submit(0, 1.0, [&] { ++done; });
-  w.scheduler(0).submit(0, 1.0, [&] { ++done; });
+  w.scheduler(0).submit({.cost = 1.0, .body = [&] { ++done; }});
+  w.scheduler(0).submit({.cost = 1.0, .body = [&] { ++done; }});
+  w.scheduler(0).submit({.cost = 1.0, .body = [&] { ++done; }});
   const double t = w.fence();
   EXPECT_EQ(done, 3);
   // 3 unit tasks on 2 workers: makespan 2.
@@ -42,12 +42,13 @@ TEST(Scheduler, PriorityOrdersQueue) {
   auto cfg = small_world();
   cfg.machine.cores_per_node = 1;
   World w(cfg);
+  auto& s = w.scheduler(0);
   std::vector<int> order;
   // Submit a blocker so the rest queue up, then they should pop by priority.
-  w.scheduler(0).submit(0, 1.0, [&] { order.push_back(-1); });
-  w.scheduler(0).submit(1, 1.0, [&] { order.push_back(1); });
-  w.scheduler(0).submit(3, 1.0, [&] { order.push_back(3); });
-  w.scheduler(0).submit(2, 1.0, [&] { order.push_back(2); });
+  s.submit({.cost = 1.0, .body = [&] { order.push_back(-1); }});
+  s.submit({.priority = 1, .cost = 1.0, .body = [&] { order.push_back(1); }});
+  s.submit({.priority = 3, .cost = 1.0, .body = [&] { order.push_back(3); }});
+  s.submit({.priority = 2, .cost = 1.0, .body = [&] { order.push_back(2); }});
   w.fence();
   EXPECT_EQ(order, (std::vector<int>{-1, 3, 2, 1}));
 }
@@ -56,10 +57,11 @@ TEST(Scheduler, FifoAmongEqualPriorities) {
   auto cfg = small_world();
   cfg.machine.cores_per_node = 1;
   World w(cfg);
+  auto& s = w.scheduler(0);
   std::vector<int> order;
-  w.scheduler(0).submit(0, 1.0, [&] { order.push_back(0); });
+  s.submit({.cost = 1.0, .body = [&] { order.push_back(0); }});
   for (int i = 1; i <= 4; ++i)
-    w.scheduler(0).submit(7, 1.0, [&order, i] { order.push_back(i); });
+    s.submit({.priority = 7, .cost = 1.0, .body = [&order, i] { order.push_back(i); }});
   w.fence();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
@@ -73,12 +75,17 @@ TEST(Scheduler, CrossJobTieBreakIsDeterministic) {
   World w(cfg);
   auto& s = w.scheduler(0);
   std::vector<std::pair<int, int>> order;  // (job, tag)
-  s.submit(0, 1.0, [&] { order.emplace_back(0, 0); });  // blocker
-  s.submit(rt::JobId{2}, 5, 1.0, [&] { order.emplace_back(2, 0); });
-  s.submit(rt::JobId{1}, 5, 1.0, [&] { order.emplace_back(1, 0); });
-  s.submit(rt::JobId{3}, 7, 1.0, [&] { order.emplace_back(3, 0); });
-  s.submit(rt::JobId{1}, 5, 1.0, [&] { order.emplace_back(1, 1); });
-  s.submit(rt::JobId{2}, 5, 1.0, [&] { order.emplace_back(2, 1); });
+  s.submit({.cost = 1.0, .body = [&] { order.emplace_back(0, 0); }});  // blocker
+  s.submit({.job = rt::JobId{2}, .priority = 5, .cost = 1.0,
+            .body = [&] { order.emplace_back(2, 0); }});
+  s.submit({.job = rt::JobId{1}, .priority = 5, .cost = 1.0,
+            .body = [&] { order.emplace_back(1, 0); }});
+  s.submit({.job = rt::JobId{3}, .priority = 7, .cost = 1.0,
+            .body = [&] { order.emplace_back(3, 0); }});
+  s.submit({.job = rt::JobId{1}, .priority = 5, .cost = 1.0,
+            .body = [&] { order.emplace_back(1, 1); }});
+  s.submit({.job = rt::JobId{2}, .priority = 5, .cost = 1.0,
+            .body = [&] { order.emplace_back(2, 1); }});
   w.fence();
   const std::vector<std::pair<int, int>> want{
       {0, 0},          // blocker
@@ -98,10 +105,10 @@ TEST(Scheduler, WeightedRoundRobinInterleavesByWeight) {
   s.configure_job(rt::JobId{1}, /*weight=*/1, /*inflight_cap=*/0);
   s.configure_job(rt::JobId{2}, /*weight=*/2, /*inflight_cap=*/0);
   std::vector<int> order;
-  s.submit(0, 1.0, [&] { order.push_back(0); });  // blocker
+  s.submit({.cost = 1.0, .body = [&] { order.push_back(0); }});  // blocker
   for (int i = 0; i < 3; ++i) {
-    s.submit(rt::JobId{1}, 0, 1.0, [&] { order.push_back(1); });
-    s.submit(rt::JobId{2}, 0, 1.0, [&] { order.push_back(2); });
+    s.submit({.job = rt::JobId{1}, .cost = 1.0, .body = [&] { order.push_back(1); }});
+    s.submit({.job = rt::JobId{2}, .cost = 1.0, .body = [&] { order.push_back(2); }});
   }
   w.fence();
   // Credit rounds: job 1 gets 1 slot, job 2 gets 2 per round (jobs scanned
@@ -114,7 +121,7 @@ TEST(Scheduler, InflightCapLimitsConcurrency) {
   World w(cfg);
   auto& s = w.scheduler(0);
   s.configure_job(rt::JobId{1}, /*weight=*/1, /*inflight_cap=*/1);
-  for (int i = 0; i < 4; ++i) s.submit(rt::JobId{1}, 0, 1.0, [] {});
+  for (int i = 0; i < 4; ++i) s.submit({.job = rt::JobId{1}, .cost = 1.0, .body = [] {}});
   const double t = w.fence();
   const auto& jc = s.job_counters(rt::JobId{1});
   EXPECT_EQ(jc.tasks_run, 4u);
@@ -126,11 +133,11 @@ TEST(Scheduler, ChargeExtendsWorkerBusyTime) {
   auto cfg = small_world();
   cfg.machine.cores_per_node = 1;
   World w(cfg);
-  w.scheduler(0).submit(0, 1.0, [&] {
+  w.scheduler(0).submit({.cost = 1.0, .body = [&] {
     EXPECT_DOUBLE_EQ(w.scheduler(0).charge(0.5), 0.5);
     EXPECT_DOUBLE_EQ(w.scheduler(0).charge(0.25), 0.75);
-  });
-  w.scheduler(0).submit(0, 1.0, [] {});
+  }});
+  w.scheduler(0).submit({.cost = 1.0, .body = [] {}});
   const double t = w.fence();
   EXPECT_DOUBLE_EQ(t, 2.75);  // 1 + 0.75 post-body + 1
 }
@@ -263,9 +270,9 @@ TEST(World, FlopsAccounting) {
 TEST(Trace, RecordsNamedTasks) {
   World w(small_world());
   w.enable_tracing();
-  w.scheduler(0).submit(1, 2.0, "alpha", [] {});
-  w.scheduler(0).submit(0, 3.0, "beta", [] {});
-  w.scheduler(1).submit(0, 1.0, "alpha", [] {});
+  w.scheduler(0).submit({.priority = 1, .cost = 2.0, .name = "alpha", .body = [] {}});
+  w.scheduler(0).submit({.cost = 3.0, .name = "beta", .body = [] {}});
+  w.scheduler(1).submit({.cost = 1.0, .name = "alpha", .body = [] {}});
   w.fence();
   const auto& rec = w.tracer().records();
   ASSERT_EQ(rec.size(), 3u);
@@ -281,7 +288,8 @@ TEST(Trace, StartEndSpanIncludesCharges) {
   cfg.machine.cores_per_node = 1;
   World w(cfg);
   w.enable_tracing();
-  w.scheduler(0).submit(0, 1.0, "t", [&] { w.scheduler(0).charge(0.5); });
+  w.scheduler(0).submit({.cost = 1.0, .name = "t",
+                         .body = [&] { w.scheduler(0).charge(0.5); }});
   w.fence();
   const auto& r = w.tracer().records().at(0);
   EXPECT_DOUBLE_EQ(r.start, 0.0);
@@ -291,7 +299,7 @@ TEST(Trace, StartEndSpanIncludesCharges) {
 TEST(Trace, UnnamedTasksNotRecorded) {
   World w(small_world());
   w.enable_tracing();
-  w.scheduler(0).submit(0, 1.0, [] {});
+  w.scheduler(0).submit({.cost = 1.0, .body = [] {}});
   w.fence();
   EXPECT_EQ(w.tracer().size(), 0u);
 }
@@ -299,8 +307,8 @@ TEST(Trace, UnnamedTasksNotRecorded) {
 TEST(Trace, BusyPerRankAndUtilization) {
   World w(small_world());  // 2 ranks x 2 workers
   w.enable_tracing();
-  w.scheduler(0).submit(0, 2.0, "x", [] {});
-  w.scheduler(1).submit(0, 2.0, "x", [] {});
+  w.scheduler(0).submit({.cost = 2.0, .name = "x", .body = [] {}});
+  w.scheduler(1).submit({.cost = 2.0, .name = "x", .body = [] {}});
   const double makespan = w.fence();
   auto busy = w.tracer().busy_per_rank(2);
   EXPECT_DOUBLE_EQ(busy[0], 2.0);
@@ -311,7 +319,7 @@ TEST(Trace, BusyPerRankAndUtilization) {
 TEST(Trace, SummaryTableRenders) {
   World w(small_world());
   w.enable_tracing();
-  w.scheduler(0).submit(0, 1.0, "kernel", [] {});
+  w.scheduler(0).submit({.cost = 1.0, .name = "kernel", .body = [] {}});
   w.fence();
   const auto s = w.tracer().summary_table();
   EXPECT_NE(s.find("kernel"), std::string::npos);
@@ -323,8 +331,8 @@ TEST(Trace, TtTasksCarryTemplateNames) {
   World w(small_world());
   w.enable_tracing();
   // (exercised through the ttg layer in test_ttg_core; here via scheduler)
-  w.scheduler(0).submit(2, 1.0, "POTRF", [] {});
-  w.scheduler(0).submit(1, 1.0, "TRSM", [] {});
+  w.scheduler(0).submit({.priority = 2, .cost = 1.0, .name = "POTRF", .body = [] {}});
+  w.scheduler(0).submit({.priority = 1, .cost = 1.0, .name = "TRSM", .body = [] {}});
   w.fence();
   auto sum = w.tracer().summarize();
   EXPECT_EQ(sum.size(), 2u);

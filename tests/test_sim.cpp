@@ -57,17 +57,6 @@ TEST(Engine, NowAdvancesMonotonically) {
   e.run();
 }
 
-TEST(Engine, RunUntilStopsAtPredicate) {
-  Engine e;
-  int count = 0;
-  for (int i = 1; i <= 10; ++i) e.at(i, [&] { ++count; });
-  e.run_until([&] { return count == 4; });
-  EXPECT_EQ(count, 4);
-  EXPECT_DOUBLE_EQ(e.now(), 4.0);
-  e.run();
-  EXPECT_EQ(count, 10);
-}
-
 TEST(Engine, SchedulingInPastAborts) {
   Engine e;
   e.at(5.0, [&] {
@@ -143,22 +132,6 @@ TEST(FifoResource, IdleGapsNotCharged) {
   e.at(10.0, [&] { r.submit(1.0, [] {}); });
   EXPECT_DOUBLE_EQ(e.run(), 11.0);
   EXPECT_DOUBLE_EQ(r.busy_time(), 2.0);
-}
-
-TEST(PoolResource, ParallelServers) {
-  Engine e;
-  PoolResource p(e, "pool", 2);
-  std::vector<double> done;
-  e.at(0.0, [&] {
-    for (int i = 0; i < 4; ++i) p.submit(1.0, [&] { done.push_back(e.now()); });
-  });
-  e.run();
-  ASSERT_EQ(done.size(), 4u);
-  // Two at t=1, two at t=2.
-  EXPECT_DOUBLE_EQ(done[0], 1.0);
-  EXPECT_DOUBLE_EQ(done[1], 1.0);
-  EXPECT_DOUBLE_EQ(done[2], 2.0);
-  EXPECT_DOUBLE_EQ(done[3], 2.0);
 }
 
 TEST(Machine, PresetsAreSane) {

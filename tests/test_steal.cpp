@@ -168,12 +168,13 @@ TEST(StealEquiv, OffPopOrderIsPriorityThenFifo) {
   cfg.machine.cores_per_node = 1;
   cfg.nranks = 1;
   rt::World w(cfg);
+  auto& s = w.scheduler(0);
   std::vector<int> order;
-  w.scheduler(0).submit(0, 1.0, [&] { order.push_back(-1); });  // blocker
-  w.scheduler(0).submit(1, 1.0, [&] { order.push_back(10); });
-  w.scheduler(0).submit(3, 1.0, [&] { order.push_back(30); });
-  w.scheduler(0).submit(3, 1.0, [&] { order.push_back(31); });
-  w.scheduler(0).submit(2, 1.0, [&] { order.push_back(20); });
+  s.submit({.cost = 1.0, .body = [&] { order.push_back(-1); }});  // blocker
+  s.submit({.priority = 1, .cost = 1.0, .body = [&] { order.push_back(10); }});
+  s.submit({.priority = 3, .cost = 1.0, .body = [&] { order.push_back(30); }});
+  s.submit({.priority = 3, .cost = 1.0, .body = [&] { order.push_back(31); }});
+  s.submit({.priority = 2, .cost = 1.0, .body = [&] { order.push_back(20); }});
   w.fence();
   EXPECT_EQ(order, (std::vector<int>{-1, 30, 31, 20, 10}));
 }
@@ -294,13 +295,14 @@ TEST(StealCaps, InflightCapHoldsUnderStealing) {
   auto& sched = w.scheduler(0);
   sched.configure_job(rt::JobId{7}, 1, 2);
   for (int i = 0; i < 24; ++i) {
-    sched.submit(rt::JobId{7}, 1, 1.0, [&sched, i] {
+    auto body = [&sched, i] {
       if (i % 2 == 0) {
         // In-body submissions land on the producing core's deque.
-        sched.submit(rt::kDefaultJob, 0, 0.5, [] {});
-        sched.submit(rt::kDefaultJob, 0, 0.5, [] {});
+        sched.submit({.cost = 0.5, .body = [] {}});
+        sched.submit({.cost = 0.5, .body = [] {}});
       }
-    });
+    };
+    sched.submit({.job = rt::JobId{7}, .priority = 1, .cost = 1.0, .body = body});
   }
   w.fence();
   const auto& jc = sched.job_counters(rt::JobId{7});

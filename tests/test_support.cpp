@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "support/cli.hpp"
 #include "support/error.hpp"
@@ -105,10 +106,13 @@ TEST(Cli, ParsesOptionsAndFlags) {
   Cli cli("prog", "test");
   cli.option("nodes", "4", "node count");
   cli.option("machine", "hawk", "machine");
+  cli.option("tol", "1", "tolerance");
   cli.flag("full", "run full scale");
-  const char* argv[] = {"prog", "--nodes", "16", "--machine=seawulf", "--full"};
-  ASSERT_TRUE(cli.parse(5, const_cast<char**>(argv)));
+  const char* argv[] = {"prog", "--nodes", "16", "--machine=seawulf", "--tol=-2.5e-3",
+                        "--full"};
+  ASSERT_TRUE(cli.parse(6, const_cast<char**>(argv)));
   EXPECT_EQ(cli.get_int("nodes"), 16);
+  EXPECT_DOUBLE_EQ(cli.get_double("tol"), -2.5e-3);
   EXPECT_EQ(cli.get("machine"), "seawulf");
   EXPECT_TRUE(cli.get_flag("full"));
 }
@@ -132,6 +136,28 @@ TEST(Cli, RejectsMissingValue) {
   cli.option("n", "1", "n");
   const char* argv[] = {"prog", "--n"};
   EXPECT_THROW(cli.parse(2, const_cast<char**>(argv)), ApiError);
+}
+
+TEST(Cli, RejectsMalformedNumbersNamingTheOption) {
+  auto parsed = [](const std::string& value) {
+    Cli cli("prog", "test");
+    cli.option("bs", "1", "tile size");
+    std::string arg = "--bs=" + value;
+    char* argv[] = {const_cast<char*>("prog"), arg.data()};
+    EXPECT_TRUE(cli.parse(2, argv));
+    return cli;
+  };
+  // Empty, partly numeric or out of range: each throws, naming the option.
+  for (const char* v : {"", "abc", "8k", "1.5", "99999999999999999999"}) {
+    try {
+      (void)parsed(v).get_int("bs");
+      ADD_FAILURE() << "'" << v << "' parsed as an integer";
+    } catch (const ApiError& e) {
+      EXPECT_NE(std::string(e.what()).find("--bs"), std::string::npos) << e.what();
+    }
+  }
+  for (const char* v : {"", "abc", "1e-6x", "1e999"})
+    EXPECT_THROW((void)parsed(v).get_double("bs"), ApiError) << v;
 }
 
 TEST(Error, RequireThrowsApiError) {

@@ -6,12 +6,16 @@
 // charge() accounting), and trace on/off invariance of every result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/bspmm/bspmm_ttg.hpp"
@@ -286,6 +290,59 @@ TEST(ChromeTrace, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(first, second);
 }
 
+TEST(ChromeTrace, DeviceSpansStartAtTheKernelOnOneTrackPerGpu) {
+  // Four 1 s kernels forced onto the GPU lanes at t = 0: each span must
+  // start when its kernel does (not at dispatch, which would fold the lane's
+  // FIFO wait into it), so the spans of one GPU are disjoint, and every GPU
+  // renders on its own named Chrome track.
+  for (const int gpus : {1, 2}) {
+    auto cfg = tiny_world(rt::BackendKind::Parsec, /*nranks=*/1, /*workers=*/1);
+    cfg.machine.gpus_per_node = gpus;
+    cfg.machine.gpu_launch_overhead = 0.0;
+    cfg.device = rt::DevicePlacement::Always;
+    rt::World w(cfg);
+    w.enable_tracing();
+    for (int i = 0; i < 4; ++i) {
+      w.scheduler(0).submit({.cost = 1.0, .name = "kernel",
+                             .device = rt::DeviceCall{.cost = 1.0, .datums = {}},
+                             .body = [] {}});
+    }
+    EXPECT_DOUBLE_EQ(w.fence(), 4.0 / gpus);
+    EXPECT_EQ(w.scheduler(0).device_stats().device_tasks, 4u);
+
+    std::map<int, std::vector<std::pair<double, double>>> spans;  // by track
+    for (const auto& r : w.tracer().records())
+      spans[r.worker].emplace_back(r.start, r.end);
+    ASSERT_EQ(spans.size(), static_cast<std::size_t>(gpus));
+    double traced = 0.0;
+    for (auto& [track, on_gpu] : spans) {
+      std::sort(on_gpu.begin(), on_gpu.end());
+      for (std::size_t i = 0; i < on_gpu.size(); ++i) {
+        traced += on_gpu[i].second - on_gpu[i].first;
+        if (i > 0) {
+          EXPECT_GE(on_gpu[i].first, on_gpu[i - 1].second) << "track " << track;
+        }
+      }
+    }
+    EXPECT_DOUBLE_EQ(traced, w.scheduler(0).device_busy());  // 4 s of GPU work
+
+    std::set<int> kernel_tids;
+    std::set<std::string> gpu_tracks;
+    const json::Value doc = json::parse(w.tracer().chrome_trace_json());
+    for (const auto& e : doc.at("traceEvents").as_array()) {
+      const std::string& name = e.at("name").as_string();
+      if (e.at("ph").as_string() == "X" && name == "kernel") {
+        kernel_tids.insert(static_cast<int>(e.at("tid").as_number()));
+      } else if (name == "thread_name") {
+        const std::string& track = e.at("args").at("name").as_string();
+        if (track.rfind("gpu ", 0) == 0) gpu_tracks.insert(track);
+      }
+    }
+    EXPECT_EQ(kernel_tids.size(), static_cast<std::size_t>(gpus));
+    EXPECT_EQ(gpu_tracks.size(), static_cast<std::size_t>(gpus));
+  }
+}
+
 // --- counter conservation ----------------------------------------------
 
 TEST(Conservation, PotrfBytesSentEqualReceived) {
@@ -381,10 +438,11 @@ TEST(SchedulerSemantics, PriorityFirstThenFifoTieBreak) {
   w.enable_tracing();
   // A blocker occupies the single worker so the rest queue up; the queue
   // must pop by priority, FIFO among equals.
-  w.scheduler(0).submit(0, 1.0, "blocker", [] {});
-  w.scheduler(0).submit(1, 1.0, "low-first", [] {});
-  w.scheduler(0).submit(1, 1.0, "low-second", [] {});
-  w.scheduler(0).submit(2, 1.0, "high", [] {});
+  w.scheduler(0).submit({.cost = 1.0, .name = "blocker", .body = [] {}});
+  w.scheduler(0).submit({.priority = 1, .cost = 1.0, .name = "low-first", .body = [] {}});
+  w.scheduler(0).submit({.priority = 1, .cost = 1.0, .name = "low-second",
+                         .body = [] {}});
+  w.scheduler(0).submit({.priority = 2, .cost = 1.0, .name = "high", .body = [] {}});
   w.fence();
 
   const auto& rec = w.tracer().records();
@@ -417,9 +475,9 @@ TEST(SchedulerSemantics, ChargeExtendsSpanAndIsCounted) {
   auto cfg = tiny_world(rt::BackendKind::Parsec, 1, /*workers=*/1);
   rt::World w(cfg);
   w.enable_tracing();
-  w.scheduler(0).submit(0, 1.0, "worker-task",
-                        [&] { w.scheduler(0).charge(0.25); });
-  w.scheduler(0).submit(0, 1.0, "follower", [] {});
+  w.scheduler(0).submit({.cost = 1.0, .name = "worker-task",
+                         .body = [&] { w.scheduler(0).charge(0.25); }});
+  w.scheduler(0).submit({.cost = 1.0, .name = "follower", .body = [] {}});
   const double makespan = w.fence();
 
   const auto& rec = w.tracer().records();
@@ -438,7 +496,7 @@ TEST(SchedulerSemantics, WorkerIdsStayWithinRankGeometry) {
   rt::World w(cfg);
   w.enable_tracing();
   for (int i = 0; i < 6; ++i) {
-    w.scheduler(0).submit(0, 1.0, "t", [] {});
+    w.scheduler(0).submit({.cost = 1.0, .name = "t", .body = [] {}});
   }
   w.fence();
   bool saw_w0 = false, saw_w1 = false;
