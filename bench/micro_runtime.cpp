@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark) of the substrate hot paths: archive
-// serialization, event-engine throughput, scheduler throughput, and a
-// small end-to-end TTG pipeline.
+// serialization, event-engine throughput, scheduler throughput, a small
+// end-to-end TTG pipeline, and the dense tile kernels and SPD generator on
+// real payloads.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <functional>
 
+#include "linalg/kernels.hpp"
+#include "linalg/matrix_gen.hpp"
 #include "linalg/tile.hpp"
 #include "serialization/traits.hpp"
 #include "ttg/ttg.hpp"
@@ -230,5 +233,57 @@ void BM_StreamingReduceFanIn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * ranks);
 }
 BENCHMARK(BM_StreamingReduceFanIn)->Arg(0)->Arg(4);
+
+// Dense tile kernels on real b x b tiles: the linalg layer's host cost.
+// Args are {kernel, b}; the label names the kernel and "flops" is its rate.
+// Each iteration restores the output tile untimed, since potrf and trsm
+// overwrite their operand.
+void BM_TileKernel(benchmark::State& state) {
+  enum Kernel { kGemmNt, kSyrk, kPotrf, kTrsm, kGemmNnAcc };
+  static constexpr const char* kNames[] = {"gemm_nt", "syrk", "potrf", "trsm", "gemm_nn_acc"};
+  const auto kernel = static_cast<Kernel>(state.range(0));
+  const int b = static_cast<int>(state.range(1));
+  support::Rng rng(1);
+  const linalg::Tile spd = linalg::random_spd_dense(rng, b);
+  linalg::Tile l = spd;
+  if (!linalg::potrf(l)) state.SkipWithError("tile is not SPD");
+  const linalg::Tile x = linalg::random_tile(rng, b, b);
+  const linalg::Tile y = linalg::random_tile(rng, b, b);
+  const linalg::Tile c = linalg::random_tile(rng, b, b);
+  const linalg::Tile& init = kernel == kPotrf ? spd : kernel == kTrsm ? x : c;
+  linalg::Tile t;
+  for (auto _ : state) {
+    state.PauseTiming();
+    t = init;
+    state.ResumeTiming();
+    switch (kernel) {
+      case kGemmNt: linalg::gemm_nt(t, x, y); break;
+      case kSyrk: linalg::syrk(x, t); break;
+      case kPotrf: benchmark::DoNotOptimize(linalg::potrf(t)); break;
+      case kTrsm: linalg::trsm(l, t); break;
+      case kGemmNnAcc: linalg::gemm_nn_acc(t, x, y); break;
+    }
+    benchmark::ClobberMemory();
+  }
+  const double flops[] = {linalg::flops::gemm(b, b, b), linalg::flops::syrk(b, b),
+                          linalg::flops::potrf(b), linalg::flops::trsm(b, b),
+                          linalg::flops::gemm(b, b, b)};
+  state.SetLabel(kNames[kernel]);
+  state.counters["flops"] =
+      benchmark::Counter(flops[kernel], benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_TileKernel)
+    ->ArgsProduct({{0, 1, 2, 3, 4}, {128, 256}})
+    ->Unit(benchmark::kMicrosecond);
+
+// The SPD test-matrix generator (B B^T + n I) behind every real POTRF.
+void BM_RandomSpd(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    support::Rng rng(1);
+    benchmark::DoNotOptimize(linalg::random_spd_dense(rng, n));
+  }
+}
+BENCHMARK(BM_RandomSpd)->Arg(512)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -63,10 +63,19 @@ inline constexpr double kGpuTrsmEff = 0.55;
 [[nodiscard]] double gpu_gemm_time(const sim::MachineModel& m, int rows, int cols, int k);
 
 // --- kernels ---
+//
+// Real-tile kernels loop over unit-stride columns (Tile::col), yet every
+// output entry takes exactly the textbook triple loop's floating-point
+// operations: the same start value, the same terms in the same ascending
+// order, and the same zero skips. Results are therefore bit-identical to the
+// textbook loops (kept in tests/test_linalg.cpp as the reference), provided
+// the build neither contracts a multiply-add into an FMA nor reassociates:
+// no -march, -mfma or -ffast-math.
 
 /// In-place lower Cholesky factorization of a square tile; the strict upper
 /// triangle is zeroed. Returns false if the tile is not positive definite
-/// (real mode; ghost mode always succeeds).
+/// (real mode; ghost mode always succeeds); the tile's contents are then
+/// unspecified.
 [[nodiscard]] bool potrf(Tile& a);
 
 /// Right-looking tiled-Cholesky TRSM: A := A * L^{-T} where L is the lower
@@ -82,6 +91,11 @@ void gemm_nt(Tile& c, const Tile& a, const Tile& b);
 
 /// Accumulating product (block-sparse GEMM): C := C + A B.
 void gemm_nn_acc(Tile& c, const Tile& a, const Tile& b);
+
+/// Lower triangle of X X^T, added in: G(i,j) += X(i,p) X(j,p) for i >= j and
+/// p ascending, four columns of G per pass over X. The strict upper triangle
+/// of the n x n tile G is left as it is. Shared by syrk and random_spd_dense.
+void gram_lower_acc(const Tile& x, Tile& g);
 
 /// Min-plus (tropical semiring) update for Floyd-Warshall:
 /// W(i,j) := min(W(i,j), min_k A(i,k) + B(k,j)).

@@ -75,13 +75,12 @@ Tile random_tile(support::Rng& rng, int rows, int cols, double lo, double hi) {
 Tile random_spd_dense(support::Rng& rng, int n) {
   Tile b = random_tile(rng, n, n);
   Tile a(n, n);
-  // A = B B^T + n I  (diagonally dominant => SPD).
+  // A = B B^T + n I  (diagonally dominant => SPD). Each entry sums its
+  // products from zero in ascending k; the products commute, so the lower
+  // triangle is computed and mirrored.
+  gram_lower_acc(b, a);
   for (int j = 0; j < n; ++j)
-    for (int i = 0; i < n; ++i) {
-      double s = 0.0;
-      for (int k = 0; k < n; ++k) s += b(i, k) * b(j, k);
-      a(i, j) = s;
-    }
+    for (int i = j + 1; i < n; ++i) a(j, i) = a(i, j);
   for (int i = 0; i < n; ++i) a(i, i) += n;
   return a;
 }

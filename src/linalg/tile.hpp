@@ -63,6 +63,17 @@ class Tile {
     return data_[static_cast<std::size_t>(j) * rows_ + i];
   }
 
+  /// Column j's rows() contiguous doubles (real tiles only): the unit-stride
+  /// view the dense kernels loop over, checked once per column.
+  [[nodiscard]] double* col(int j) {
+    TTG_CHECK(!ghost_, "column access on ghost tile");
+    return data_.data() + static_cast<std::size_t>(j) * rows_;
+  }
+  [[nodiscard]] const double* col(int j) const {
+    TTG_CHECK(!ghost_, "column access on ghost tile");
+    return data_.data() + static_cast<std::size_t>(j) * rows_;
+  }
+
   [[nodiscard]] std::vector<double>& data() { return data_; }
   [[nodiscard]] const std::vector<double>& data() const { return data_; }
 

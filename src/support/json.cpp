@@ -1,5 +1,6 @@
 #include "support/json.hpp"
 
+#include <cmath>
 #include <cstdlib>
 
 #include "support/error.hpp"
@@ -111,8 +112,16 @@ class Parser {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // Bounded so hostile nesting throws instead of overflowing the stack.
+        TTG_REQUIRE(depth_ < kMaxDepth,
+                    err("nesting deeper than " + std::to_string(kMaxDepth) + " levels"));
+        ++depth_;
+        Value v = c == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return Value(string());
       case 't':
         TTG_REQUIRE(literal("true"), err("bad literal"));
@@ -177,11 +186,49 @@ class Parser {
     } else if (cp < 0x800) {
       out += static_cast<char>(0xC0 | (cp >> 6));
       out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
+    } else if (cp < 0x10000) {
       out += static_cast<char>(0xE0 | (cp >> 12));
       out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
       out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (cp >> 18));
+      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
     }
+  }
+
+  /// The four hex digits of a \u escape.
+  unsigned hex4() {
+    TTG_REQUIRE(pos_ + 4 <= s_.size(), err("short \\u escape"));
+    unsigned cp = 0;
+    for (int i = 0; i < 4; ++i) {
+      const char h = s_[pos_++];
+      cp <<= 4;
+      if (h >= '0' && h <= '9') {
+        cp |= static_cast<unsigned>(h - '0');
+      } else if (h >= 'a' && h <= 'f') {
+        cp |= static_cast<unsigned>(h - 'a' + 10);
+      } else if (h >= 'A' && h <= 'F') {
+        cp |= static_cast<unsigned>(h - 'A' + 10);
+      } else {
+        TTG_REQUIRE(false, err("bad hex digit in \\u escape"));
+      }
+    }
+    return cp;
+  }
+
+  /// A \u escape's code point: a UTF-16 surrogate pair is combined, and a
+  /// lone surrogate is an error.
+  unsigned code_point() {
+    const unsigned cp = hex4();
+    TTG_REQUIRE(cp < 0xDC00 || cp > 0xDFFF, err("lone low surrogate in \\u escape"));
+    if (cp < 0xD800 || cp > 0xDBFF) return cp;
+    TTG_REQUIRE(s_.compare(pos_, 2, "\\u") == 0, err("lone high surrogate in \\u escape"));
+    pos_ += 2;
+    const unsigned lo = hex4();
+    TTG_REQUIRE(lo >= 0xDC00 && lo <= 0xDFFF, err("lone high surrogate in \\u escape"));
+    return 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
   }
 
   std::string string() {
@@ -191,6 +238,7 @@ class Parser {
       TTG_REQUIRE(pos_ < s_.size(), err("unterminated string"));
       const char c = s_[pos_++];
       if (c == '"') return out;
+      TTG_REQUIRE(static_cast<unsigned char>(c) >= 0x20, err("raw control character in string"));
       if (c != '\\') {
         out += c;
         continue;
@@ -206,52 +254,51 @@ class Parser {
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u': {
-          TTG_REQUIRE(pos_ + 4 <= s_.size(), err("short \\u escape"));
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') {
-              cp |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              cp |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              cp |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              TTG_REQUIRE(false, err("bad hex digit in \\u escape"));
-            }
-          }
-          append_utf8(out, cp);
-          break;
-        }
+        case 'u': append_utf8(out, code_point()); break;
         default: TTG_REQUIRE(false, err("bad escape character"));
       }
     }
   }
 
+  /// Consumes a run of decimal digits; returns how many.
+  std::size_t digits() {
+    const std::size_t from = pos_;
+    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    return pos_ - from;
+  }
+
+  bool accept(char c) {
+    if (pos_ < s_.size() && s_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  /// RFC 8259: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, finite.
   Value number() {
     const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if ((c >= '0' && c <= '9') || c == '.' || c == 'e' || c == 'E' || c == '+' ||
-          c == '-') {
-        ++pos_;
-      } else {
-        break;
-      }
+    accept('-');
+    const std::size_t int_start = pos_;
+    const std::size_t int_digits = digits();
+    TTG_REQUIRE(int_digits > 0, err("expected a value"));
+    TTG_REQUIRE(int_digits == 1 || s_[int_start] != '0', err("leading zero in number"));
+    if (accept('.')) TTG_REQUIRE(digits() > 0, err("expected a digit after '.'"));
+    if (accept('e') || accept('E')) {
+      if (!accept('+')) accept('-');
+      TTG_REQUIRE(digits() > 0, err("expected a digit in the exponent"));
     }
-    TTG_REQUIRE(pos_ > start, err("expected a value"));
     const std::string tok = s_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    TTG_REQUIRE(end != nullptr && *end == '\0', err("malformed number '" + tok + "'"));
+    const double d = std::strtod(tok.c_str(), nullptr);
+    TTG_REQUIRE(std::isfinite(d), err("number out of range '" + tok + "'"));
     return Value(d);
   }
 
+  static constexpr int kMaxDepth = 512;
+
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -1,10 +1,13 @@
-// Minimal JSON parser (RFC 8259 subset sufficient for tooling output).
+// Minimal strict JSON parser (RFC 8259).
 //
 // Exists so tests and tools can parse structured output the repo itself
 // produces — most importantly the tracer's Chrome-trace JSON, which the
-// trace test suite parses back to prove well-formedness. Numbers are
-// doubles, strings support the standard escapes (\uXXXX is decoded as
-// UTF-8), and parse errors throw support::ApiError with an offset.
+// trace test suite parses back to prove well-formedness, so it accepts only
+// well-formed documents. Numbers follow the RFC grammar and must be finite
+// doubles; strings reject raw control characters, and \uXXXX escapes
+// (surrogate pairs combined, lone surrogates rejected) decode to UTF-8.
+// Nesting is bounded at 512 levels. Parse errors throw support::ApiError
+// with an offset.
 #pragma once
 
 #include <map>

@@ -230,6 +230,13 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     std::bitset<kSlots> done;
   };
 
+  /// Invariant-failure message naming this TT, the task key and the rank;
+  /// TTG_CHECK builds it only when the check fails.
+  [[nodiscard]] std::string failure(const Key& key, const std::string& what) const {
+    return "TT '" + name_ + "', key " + key_to_string(key) + ", rank " +
+           std::to_string(world_.rank()) + ": " + what;
+  }
+
   Record& record(const Key& key) {
     auto& map = records_[static_cast<std::size_t>(world_.rank())];
     auto it = map.find(key);
@@ -253,9 +260,9 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
       return;
     }
     Record& rec = record(key);
-    TTG_CHECK(!rec.done[I], "input terminal " + std::to_string(I) + " of '" + name_ +
-                                "' received a message for an already-satisfied task " +
-                                "(duplicate input or stream overflow)");
+    TTG_CHECK(!rec.done[I], failure(key, "input terminal " + std::to_string(I) +
+                                             " received a message for an already-satisfied "
+                                             "task (duplicate input or stream overflow)"));
     if (is_stream_[I]) {
       if (rec.received[I] == 0) {
         std::get<I>(rec.vals) = std::move(v);
@@ -269,12 +276,11 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
         maybe_fire(key);
       } else {
         TTG_CHECK(rec.target[I] < 0 || rec.received[I] < rec.target[I],
-                  "stream overflow on '" + name_ + "'");
+                  failure(key, "stream overflow"));
       }
     } else {
       TTG_CHECK(rec.received[I] == 0,
-                "duplicate input on terminal " + std::to_string(I) + " of '" + name_ +
-                    "' for task " + key_to_string(key));
+                failure(key, "duplicate input on terminal " + std::to_string(I)));
       std::get<I>(rec.vals) = std::move(v);
       rec.received[I] = 1;
       rec.done[I] = true;
@@ -290,8 +296,10 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
       return;
     }
     Record& rec = record(key);
-    TTG_CHECK(!rec.done[I], "stream size set after completion");
-    TTG_CHECK(rec.received[I] <= n, "stream size below already-received count");
+    TTG_CHECK(!rec.done[I], failure(key, "stream size set after completion"));
+    TTG_CHECK(rec.received[I] <= n, failure(key, "stream size " + std::to_string(n) +
+                                                     " below already-received count " +
+                                                     std::to_string(rec.received[I])));
     rec.target[I] = n;
     if (rec.received[I] == n) {
       rec.done[I] = true;
@@ -307,7 +315,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
       return;
     }
     Record& rec = record(key);
-    TTG_CHECK(!rec.done[I], "stream finalized twice");
+    TTG_CHECK(!rec.done[I], failure(key, "stream finalized twice"));
     rec.target[I] = rec.received[I];
     rec.done[I] = true;
     maybe_fire(key);
@@ -454,8 +462,8 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     const int owner = keymap_(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
-    TTG_CHECK(!rec.closed, "stream overflow on '" + name_ +
-                               "' (contribution after the reduction closed)");
+    TTG_CHECK(!rec.closed,
+              failure(key, "stream overflow (contribution after the reduction closed)"));
     if (!rec.has_value) {
       rec.value = std::move(v);
       rec.has_value = true;
@@ -502,7 +510,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
       // contributions than the stream declared.
       TTG_CHECK(!rec.collecting ||
                     cum <= rec.child_cum[static_cast<std::size_t>(slot)],
-                "stream overflow on '" + name_ + "' (count beyond declared size)");
+                failure(key, "stream overflow (count beyond declared size)"));
       return;
     }
     if (cum <= rec.child_cum[static_cast<std::size_t>(slot)]) return;  // stale
@@ -522,7 +530,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
                       const ReduceShape& rs) {
     if (rec.closed || rec.target < 0) return;
     const std::int64_t total = reduce_view(rec);
-    TTG_CHECK(total <= rec.target, "stream overflow on '" + name_ + "'");
+    TTG_CHECK(total <= rec.target, failure(key, "stream overflow"));
     if (total < rec.target) return;
     rec.closed = true;
     rec.collecting = true;
@@ -554,7 +562,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     const int owner = keymap_(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
-    TTG_CHECK(!rec.closed, "collect wave reached an already-closed subtree");
+    TTG_CHECK(!rec.closed, failure(key, "collect wave reached an already-closed subtree"));
     rec.closed = true;
     rec.collecting = true;
     start_collect<I>(key, rec, rs);
@@ -566,10 +574,10 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   template <std::size_t I>
   void reduce_finalize(const Key& key) {
     const int owner = keymap_(key);
-    TTG_CHECK(world_.rank() == owner, "finalize must run on the key's owner");
+    TTG_CHECK(world_.rank() == owner, failure(key, "finalize must run on the key's owner"));
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
-    TTG_CHECK(!rec.closed, "stream finalized twice on '" + name_ + "'");
+    TTG_CHECK(!rec.closed, failure(key, "stream finalized twice"));
     rec.closed = true;
     start_close<I>(key, rec, rs);
   }
@@ -594,7 +602,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     const int owner = keymap_(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
-    TTG_CHECK(!rec.closed, "close wave reached an already-closed subtree");
+    TTG_CHECK(!rec.closed, failure(key, "close wave reached an already-closed subtree"));
     rec.closed = true;
     start_close<I>(key, rec, rs);
   }
@@ -603,10 +611,11 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   template <std::size_t I>
   void reduce_set_target(const Key& key, std::int64_t n) {
     const int owner = keymap_(key);
-    TTG_CHECK(world_.rank() == owner, "stream size must be set on the key's owner");
+    TTG_CHECK(world_.rank() == owner,
+              failure(key, "stream size must be set on the key's owner"));
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
-    TTG_CHECK(!rec.closed, "stream size set after completion");
+    TTG_CHECK(!rec.closed, failure(key, "stream size set after completion"));
     rec.target = n;
     owner_progress<I>(key, rec, rs);
   }
@@ -620,9 +629,9 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     auto& rec = rrec<I>(key, owner, rs);
     world_.comm().mutable_stats().reduce_combines += 1;
     TTG_CHECK(!rec.replied[static_cast<std::size_t>(slot)],
-              "duplicate combined partial from one subtree");
+              failure(key, "duplicate combined partial from one subtree"));
     TTG_CHECK(cum >= rec.child_cum[static_cast<std::size_t>(slot)],
-              "final subtree count below the relayed view");
+              failure(key, "final subtree count below the relayed view"));
     rec.child_cum[static_cast<std::size_t>(slot)] = cum;  // authoritative
     rec.child_val[static_cast<std::size_t>(slot)] = std::move(v);
     child_replied<I>(key, rec, rs, slot);
@@ -634,9 +643,10 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     const int owner = keymap_(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
-    TTG_CHECK(!rec.replied[static_cast<std::size_t>(slot)], "duplicate close reply");
+    TTG_CHECK(!rec.replied[static_cast<std::size_t>(slot)],
+              failure(key, "duplicate close reply"));
     TTG_CHECK(rec.child_cum[static_cast<std::size_t>(slot)] == 0,
-              "empty close reply from a subtree that relayed contributions");
+              failure(key, "empty close reply from a subtree that relayed contributions"));
     child_replied<I>(key, rec, rs, slot);
   }
 
@@ -645,7 +655,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
                      ReduceRec<std::tuple_element_t<I, input_values>>& rec,
                      const ReduceShape& rs, int slot) {
     rec.replied[static_cast<std::size_t>(slot)] = true;
-    TTG_CHECK(rec.pending > 0, "reduction reply without an open wave");
+    TTG_CHECK(rec.pending > 0, failure(key, "reduction reply without an open wave"));
     if (--rec.pending == 0) finish_subtree<I>(key, rec, rs);
   }
 
@@ -675,7 +685,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     rec.done = true;
     if (me == owner) {
       if (rec.collecting)
-        TTG_CHECK(cum == rec.target, "collected total != declared stream size");
+        TTG_CHECK(cum == rec.target, failure(key, "collected total != declared stream size"));
       V out = rec.has_value ? std::move(rec.value) : V{};
       rec.has_value = false;
       stream_complete<I>(key, std::move(out), cum);
@@ -690,7 +700,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
                   [this, key, slot]() { this->template on_final_zero<I>(key, slot); });
       return;
     }
-    TTG_CHECK(rec.has_value, "non-empty subtree without a combined value");
+    TTG_CHECK(rec.has_value, failure(key, "non-empty subtree without a combined value"));
     world_.comm().mutable_stats().reduce_forwards += 1;
     detail::record_tree_hop(world_, me, parent);
     V out = std::move(rec.value);
@@ -704,7 +714,8 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   void stream_complete(const Key& key, std::tuple_element_t<I, input_values>&& v,
                        std::int64_t total) {
     Record& rec = record(key);
-    TTG_CHECK(!rec.done[I], "reduced stream completed an already-satisfied input");
+    TTG_CHECK(!rec.done[I],
+              failure(key, "reduced stream completed an already-satisfied input"));
     std::get<I>(rec.vals) = std::move(v);
     rec.received[I] = total;
     rec.target[I] = total;
@@ -848,7 +859,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   void maybe_fire(const Key& key) {
     auto& map = records_[static_cast<std::size_t>(world_.rank())];
     auto it = map.find(key);
-    TTG_CHECK(it != map.end(), "record vanished");
+    TTG_CHECK(it != map.end(), failure(key, "record vanished"));
     if (it->second.done.count() != kNumIn) return;
     input_values vals = std::move(it->second.vals);
     map.erase(it);

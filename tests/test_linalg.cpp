@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "graph/fw_kernels.hpp"
 #include "linalg/dist.hpp"
@@ -31,6 +32,7 @@ TEST(Tile, GhostMode) {
   EXPECT_EQ(g.wire_bytes(), 100u * 200u * sizeof(double));
   EXPECT_TRUE(g.data().empty());
   EXPECT_DEATH((void)g(0, 0), "ghost");
+  EXPECT_DEATH((void)g.col(0), "ghost");
 }
 
 TEST(Tile, NormAndDiff) {
@@ -157,6 +159,209 @@ TEST(Kernels, GhostKernelsCombineSignaturesDeterministically) {
   auto c = Tile::ghost(4, 4, 2);
   syrk(a, c);
   EXPECT_NE(c.signature(), mk());
+}
+
+// The textbook loops the kernels replaced. Each kernel must give every
+// output entry exactly these floating-point operations, bit for bit.
+namespace textbook {
+
+bool potrf(Tile& a) {
+  const int n = a.rows();
+  for (int j = 0; j < n; ++j) {
+    double d = a(j, j);
+    for (int k = 0; k < j; ++k) d -= a(j, k) * a(j, k);
+    if (d <= 0.0) return false;
+    const double ljj = std::sqrt(d);
+    a(j, j) = ljj;
+    for (int i = j + 1; i < n; ++i) {
+      double s = a(i, j);
+      for (int k = 0; k < j; ++k) s -= a(i, k) * a(j, k);
+      a(i, j) = s / ljj;
+    }
+    for (int i = 0; i < j; ++i) a(i, j) = 0.0;
+  }
+  return true;
+}
+
+void trsm(const Tile& lkk, Tile& amk) {
+  const int m = amk.rows();
+  const int n = amk.cols();
+  for (int k = 0; k < n; ++k) {
+    const double lkk_kk = lkk(k, k);
+    for (int j = 0; j < k; ++j) {
+      const double lkj = lkk(k, j);
+      if (lkj == 0.0) continue;
+      for (int i = 0; i < m; ++i) amk(i, k) -= amk(i, j) * lkj;
+    }
+    for (int i = 0; i < m; ++i) amk(i, k) /= lkk_kk;
+  }
+}
+
+void syrk(const Tile& a, Tile& c) {
+  const int n = c.rows();
+  const int k = a.cols();
+  for (int j = 0; j < n; ++j) {
+    for (int i = j; i < n; ++i) {
+      double s = 0.0;
+      for (int p = 0; p < k; ++p) s += a(i, p) * a(j, p);
+      c(i, j) -= s;
+      if (i != j) c(j, i) -= s;
+    }
+  }
+}
+
+void gemm_nt(Tile& c, const Tile& a, const Tile& b) {
+  for (int j = 0; j < c.cols(); ++j)
+    for (int p = 0; p < a.cols(); ++p) {
+      const double bjp = b(j, p);
+      if (bjp == 0.0) continue;
+      for (int i = 0; i < c.rows(); ++i) c(i, j) -= a(i, p) * bjp;
+    }
+}
+
+void gemm_nn_acc(Tile& c, const Tile& a, const Tile& b) {
+  for (int j = 0; j < c.cols(); ++j)
+    for (int p = 0; p < a.cols(); ++p) {
+      const double bpj = b(p, j);
+      if (bpj == 0.0) continue;
+      for (int i = 0; i < c.rows(); ++i) c(i, j) += a(i, p) * bpj;
+    }
+}
+
+Tile random_spd_dense(support::Rng& rng, int n) {
+  Tile b = random_tile(rng, n, n);
+  Tile a(n, n);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < n; ++i) {
+      double s = 0.0;
+      for (int k = 0; k < n; ++k) s += b(i, k) * b(j, k);
+      a(i, j) = s;
+    }
+  for (int i = 0; i < n; ++i) a(i, i) += n;
+  return a;
+}
+
+}  // namespace textbook
+
+::testing::AssertionResult SameBits(const Tile& got, const Tile& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols())
+    return ::testing::AssertionFailure() << "shape differs";
+  if (std::memcmp(got.data().data(), want.data().data(),
+                  got.data().size() * sizeof(double)) != 0)
+    return ::testing::AssertionFailure() << "bits differ";
+  return ::testing::AssertionSuccess();
+}
+
+/// Uniform entries with signed zeros. Row 1 holds only +0.0 and -0.0, so a
+/// sum along it stays zero and its sign shows any skipped or extra term;
+/// elsewhere about one entry in five is a signed zero, so both the
+/// all-nonzero four-column path and the zero fallbacks run.
+Tile with_zeros(support::Rng& rng, int rows, int cols) {
+  Tile t = random_tile(rng, rows, cols);
+  for (int j = 0; j < cols; ++j)
+    for (int i = 0; i < rows; ++i)
+      if (i == 1 || rng.uniform(0.0, 1.0) < 0.2) t(i, j) = rng.bernoulli(0.5) ? 0.0 : -0.0;
+  return t;
+}
+
+/// A tile of v whose entries with (i + 2j) % 5 == 0 are `zero` instead: four
+/// consecutive columns (or rows) hold one zero four times in five.
+Tile patterned(int rows, int cols, double v, double zero) {
+  Tile t(rows, cols);
+  for (int j = 0; j < cols; ++j)
+    for (int i = 0; i < rows; ++i) t(i, j) = (i + 2 * j) % 5 == 0 ? zero : v;
+  return t;
+}
+
+// n covers one column, the four-column remainders 1..3, whole blocks and the
+// triangle head; the shapes cover rectangular gemm and trsm operands.
+TEST(Kernels, BitIdenticalToTextbookLoops) {
+  for (const int n : {1, 2, 3, 4, 5, 7, 8, 67, 130}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    support::Rng rng(static_cast<std::uint64_t>(n));
+    {
+      support::Rng r1(static_cast<std::uint64_t>(n) + 100);
+      support::Rng r2(static_cast<std::uint64_t>(n) + 100);
+      EXPECT_TRUE(SameBits(random_spd_dense(r1, n), textbook::random_spd_dense(r2, n)));
+    }
+
+    // potrf: a generated SPD tile, and one whose lower triangle holds signed
+    // zeros, kept SPD by a dominant diagonal.
+    Tile spd = random_spd_dense(rng, n);
+    Tile zspd = spd;
+    for (int j = 0; j < n; ++j) {
+      zspd(j, j) += static_cast<double>(n) * n;
+      for (int i = j + 1; i < n; ++i)
+        if ((i + 2 * j) % 5 == 0) zspd(i, j) = (i % 2 != 0) ? -0.0 : 0.0;
+    }
+    Tile l = spd;
+    for (Tile* in : {&spd, &zspd}) {
+      Tile got = *in, want = *in;
+      ASSERT_TRUE(potrf(got));
+      ASSERT_TRUE(textbook::potrf(want));
+      EXPECT_TRUE(SameBits(got, want));
+      if (in == &spd) l = got;
+    }
+
+    // trsm against L with signed zeros in its strict lower triangle.
+    for (int j = 0; j < n; ++j)
+      for (int i = j + 1; i < n; ++i)
+        if ((3 * i + j) % 4 == 0) l(i, j) = (j % 2 != 0) ? -0.0 : 0.0;
+    for (const int m : {n, 3, n + 5}) {
+      Tile got = with_zeros(rng, m, n);
+      Tile want = got;
+      trsm(l, got);
+      textbook::trsm(l, want);
+      EXPECT_TRUE(SameBits(got, want)) << "trsm m = " << m;
+    }
+
+    for (const int k : {n, 5}) {
+      const Tile a = with_zeros(rng, n, k);
+      Tile got = with_zeros(rng, n, n);
+      Tile want = got;
+      syrk(a, got);
+      textbook::syrk(a, want);
+      EXPECT_TRUE(SameBits(got, want)) << "syrk k = " << k;
+    }
+
+    struct Shape {
+      int m, n, k;
+    };
+    for (const Shape sh : {Shape{n, n, n}, Shape{n + 1, n, 3}, Shape{2, n + 2, n}}) {
+      const Tile a = with_zeros(rng, sh.m, sh.k);
+      const Tile bt = with_zeros(rng, sh.n, sh.k);
+      const Tile b = with_zeros(rng, sh.k, sh.n);
+      Tile got = with_zeros(rng, sh.m, sh.n);
+      Tile want = got;
+      gemm_nt(got, a, bt);
+      textbook::gemm_nt(want, a, bt);
+      EXPECT_TRUE(SameBits(got, want)) << "gemm_nt " << sh.m << "x" << sh.n << "x" << sh.k;
+      gemm_nn_acc(got, a, b);
+      textbook::gemm_nn_acc(want, a, b);
+      EXPECT_TRUE(SameBits(got, want)) << "gemm_nn_acc " << sh.m << "x" << sh.n << "x" << sh.k;
+    }
+
+    // Sums of signed zeros: every term the textbook loop keeps leaves -0.0
+    // in place, and each skipped zero coefficient would turn it into +0.0.
+    {
+      const Tile a = patterned(3, n, -0.0, -0.0);
+      Tile got = a, want = a;
+      gemm_nt(got, a, patterned(n, n, -1.0, 0.0));
+      textbook::gemm_nt(want, a, patterned(n, n, -1.0, 0.0));
+      EXPECT_TRUE(SameBits(got, want)) << "gemm_nt skips";
+      gemm_nn_acc(got, a, patterned(n, n, 1.0, -0.0));
+      textbook::gemm_nn_acc(want, a, patterned(n, n, 1.0, -0.0));
+      EXPECT_TRUE(SameBits(got, want)) << "gemm_nn_acc skips";
+      Tile lz = patterned(n, n, -1.0, 0.0);
+      for (int j = 0; j < n; ++j) {
+        lz(j, j) = 1.0;
+        for (int i = 0; i < j; ++i) lz(i, j) = 0.0;
+      }
+      trsm(lz, got);
+      textbook::trsm(lz, want);
+      EXPECT_TRUE(SameBits(got, want)) << "trsm skips";
+    }
+  }
 }
 
 TEST(Kernels, FlopCounts) {

@@ -632,6 +632,27 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("[1, ]"), support::ApiError);
   EXPECT_THROW(json::parse("{\"a\": 1} trailing"), support::ApiError);
   EXPECT_THROW(json::parse("\"unterminated"), support::ApiError);
+  // Deep nesting throws instead of overflowing the stack.
+  EXPECT_THROW(json::parse(std::string(1000000, '[')), support::ApiError);
+  EXPECT_NO_THROW(json::parse(std::string(512, '[') + std::string(512, ']')));
+  EXPECT_THROW(json::parse(std::string(513, '[') + std::string(513, ']')), support::ApiError);
+  // The RFC 8259 number grammar, finite values only.
+  for (const char* bad : {"01", "-01", "+1", ".5", "1.", "-", "1e", "1e+", "1.e3", "1e999",
+                          "-1e999", "Infinity", "NaN", "0x10"})
+    EXPECT_THROW(json::parse(bad), support::ApiError) << bad;
+  for (const char* good : {"0", "-0", "10", "0.5", "-1.25e-3", "1E+2", "1e-400"})
+    EXPECT_NO_THROW(json::parse(good)) << good;
+  // Lone surrogates and raw control characters in strings.
+  for (const char* bad : {R"("\ud800")", R"("\ud800x")", R"("\ud800\u0041")",
+                          R"("\udc00")", "\"a\tb\"", "\"a\nb\"", "\"\x1f\""})
+    EXPECT_THROW(json::parse(bad), support::ApiError) << bad;
+  EXPECT_THROW(json::parse(std::string("\"\0\"", 3)), support::ApiError);
+}
+
+TEST(Json, CombinesSurrogatePairsIntoUtf8) {
+  EXPECT_EQ(json::parse(R"("\ud83d\ude00")").as_string(), "\xf0\x9f\x98\x80");
+  EXPECT_EQ(json::parse(R"("\u00e9\u20ac")").as_string(), "\xc3\xa9\xe2\x82\xac");
+  EXPECT_EQ(json::parse(R"("\u0009")").as_string(), "\t");
 }
 
 }  // namespace

@@ -415,6 +415,28 @@ TEST(TtgCoreDeath, DuplicateInputAborts) {
   EXPECT_DEATH(trigger_duplicate_input(), "duplicate input");
 }
 
+void trigger_stream_size_below_received() {
+  World w(cfg(2));
+  Edge<Int1, int> in("in");
+  auto tt = make_tt(w, [](const Int1&, int&, std::tuple<>&) {}, edges(in), std::tuple<>{},
+                    "shrink");
+  tt->set_input_reducer<0>([](int& acc, int&& v) { acc += v; });  // unbounded
+  make_graph_executable(*tt);
+  for (int i = 0; i < 3; ++i) tt->invoke(Int1{7}, 1);
+  w.fence();
+  tt->set_argstream_size<0>(Int1{7}, 2);  // three items already arrived
+}
+
+TEST(TtgCoreDeath, InvariantFailureNamesTtKeyAndRank) {
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+  EXPECT_DEATH(trigger_stream_size_below_received(),
+               "TT 'shrink', key \\(7\\), rank [0-9]+: stream size 2 below");
+}
+
 TEST(TtgCoreDeath, FenceRequiresExecutable) {
   World w(cfg(1));
   Edge<Int1, int> in("in");
