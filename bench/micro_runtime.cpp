@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the substrate hot paths: archive
 // serialization, event-engine throughput, scheduler throughput, a small
-// end-to-end TTG pipeline, and the dense tile kernels and SPD generator on
-// real payloads.
+// end-to-end TTG pipeline, the dense tile kernels and SPD generator on real
+// payloads, and the MRA two-scale and projection kernels.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -10,6 +10,7 @@
 #include "linalg/kernels.hpp"
 #include "linalg/matrix_gen.hpp"
 #include "linalg/tile.hpp"
+#include "mra/function_tree.hpp"
 #include "serialization/traits.hpp"
 #include "ttg/ttg.hpp"
 
@@ -285,5 +286,37 @@ void BM_RandomSpd(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomSpd)->Arg(512)->Unit(benchmark::kMillisecond);
+
+// The MRA two-scale kernels at order k: one filter of 8 child blocks plus
+// one unfilter_all of the parent, the work of one compress task's math.
+void BM_TwoScale(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const mra::TwoScale ts(k);
+  support::Rng rng(1);
+  std::array<std::vector<double>, 8> children;
+  for (auto& c : children) {
+    c.resize(static_cast<std::size_t>(ts.coeffs_per_node()));
+    for (double& v : c) v = rng.uniform(-1.0, 1.0);
+  }
+  for (auto _ : state) {
+    const auto parent = ts.filter(children);
+    benchmark::DoNotOptimize(parent.data());
+    const auto proj = ts.unfilter_all(parent);
+    benchmark::DoNotOptimize(proj[7].data());
+  }
+}
+BENCHMARK(BM_TwoScale)->Arg(6)->Arg(10)->Unit(benchmark::kMicrosecond);
+
+// One adaptive-projection step (8 child projections, filter, unfilter_all,
+// residual norm) on a context without the projection cache, so every
+// iteration does the math. The box is the level-3 box holding the center.
+void BM_MraProjectNode(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  const mra::Gaussian g{3.0e4, 1.0, {0.47, 0.53, 0.51}};
+  const mra::MraContext ctx(k, {g});
+  const mra::TreeKey key{0, 3, 3, 4, 4};
+  for (auto _ : state) benchmark::DoNotOptimize(ctx.project_node(key).dnorm2);
+}
+BENCHMARK(BM_MraProjectNode)->Arg(10)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -31,6 +31,9 @@ struct Slice {
 
 NativeMraResult run_native_mra(rt::World& world, const MraContext& ctx,
                                const NativeMraOptions& opt) {
+  TTG_REQUIRE(!ctx.projection_cache_enabled() || !world.engine().threaded(),
+              "the MRA projection cache has no lock: with the cache on, run the engine "
+              "on one thread (engine_threads = 1)");
   const auto& machine = world.machine();
   const auto& ts = ctx.twoscale();
   const int nranks = world.nranks();
@@ -107,12 +110,12 @@ NativeMraResult run_native_mra(rt::World& world, const MraContext& ctx,
           d[static_cast<std::size_t>(c)].v.resize(parent_s.size());
       } else {
         parent_s = ts.filter(child_s);
-        for (int c = 0; c < 8; ++c) {
-          const auto proj = ts.unfilter_child(parent_s, c);
-          auto& dc = d[static_cast<std::size_t>(c)];
-          dc.v.resize(proj.size());
-          for (std::size_t i = 0; i < proj.size(); ++i) {
-            dc.v[i] = child_s[static_cast<std::size_t>(c)][i] - proj[i];
+        const auto proj = ts.unfilter_all(parent_s);
+        for (std::size_t c = 0; c < 8; ++c) {
+          auto& dc = d[c];
+          dc.v.resize(proj[c].size());
+          for (std::size_t i = 0; i < proj[c].size(); ++i) {
+            dc.v[i] = child_s[c][i] - proj[c][i];
             own_d2 += dc.v[i] * dc.v[i];
           }
         }
@@ -181,17 +184,17 @@ NativeMraResult run_native_mra(rt::World& world, const MraContext& ctx,
         res.norm2_reconstructed[key.fid] += s.norm2();
         return;
       }
+      std::array<std::vector<double>, 8> child;
+      if (opt.light_math) {
+        child.fill(s.v);
+      } else {
+        child = ts.unfilter_all(s.v);
+        for (std::size_t c = 0; c < 8; ++c)
+          for (std::size_t i = 0; i < child[c].size(); ++i) child[c][i] += it->second[c].v[i];
+      }
       for (int c = 0; c < 8; ++c) {
-        std::vector<double> child;
-        if (opt.light_math) {
-          child = s.v;
-        } else {
-          child = ts.unfilter_child(s.v, c);
-          const auto& dc = it->second[static_cast<std::size_t>(c)];
-          for (std::size_t i = 0; i < child.size(); ++i) child[i] += dc.v[i];
-        }
         Coeffs cs;
-        cs.v = std::move(child);
+        cs.v = std::move(child[static_cast<std::size_t>(c)]);
         ttg::send<0>(key.child(c), std::move(cs), out);
       }
     };

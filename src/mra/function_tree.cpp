@@ -32,17 +32,28 @@ std::vector<Gaussian> random_gaussians(int n, double expnt, std::uint64_t seed) 
   return v;
 }
 
-MraContext::MraContext(int k, std::vector<Gaussian> functions)
-    : twoscale_(k), quad_(gauss_legendre(k)), fns_(std::move(functions)) {
-  phiw_.assign(static_cast<std::size_t>(k) * k, 0.0);
+namespace {
+
+/// phi_i(x_q) * w_q, k x k row-major.
+std::vector<double> quadrature_matrix(int k, const Quadrature& quad) {
+  std::vector<double> phiw(static_cast<std::size_t>(k) * k, 0.0);
   std::vector<double> phi(static_cast<std::size_t>(k));
   for (int q = 0; q < k; ++q) {
-    scaling_functions(quad_.x[static_cast<std::size_t>(q)], k, phi.data());
+    scaling_functions(quad.x[static_cast<std::size_t>(q)], k, phi.data());
     for (int i = 0; i < k; ++i)
-      phiw_[static_cast<std::size_t>(i) * k + q] =
-          phi[static_cast<std::size_t>(i)] * quad_.w[static_cast<std::size_t>(q)];
+      phiw[static_cast<std::size_t>(i) * k + q] =
+          phi[static_cast<std::size_t>(i)] * quad.w[static_cast<std::size_t>(q)];
   }
+  return phiw;
 }
+
+}  // namespace
+
+MraContext::MraContext(int k, std::vector<Gaussian> functions)
+    : twoscale_(k),
+      quad_(gauss_legendre(k)),
+      quadrature_(k, quadrature_matrix(k, quad_), /*transpose=*/false, /*skip_zeros=*/false),
+      fns_(std::move(functions)) {}
 
 Coeffs MraContext::project_box(const TreeKey& key) const {
   if (!cache_enabled_) return project_box_uncached(key);
@@ -59,7 +70,10 @@ Coeffs MraContext::project_box_uncached(const TreeKey& key) const {
   const Gaussian& g = fn(key.fid);
 
   // Evaluate f on the k^3 tensor quadrature grid of the box.
-  std::vector<double> f(static_cast<std::size_t>(k) * k * k);
+  const std::size_t n = static_cast<std::size_t>(k) * k * k;
+  std::vector<double> buf(2 * n);
+  double* f = buf.data();
+  double* s = f + n;
   for (int qx = 0; qx < k; ++qx) {
     const double x = (key.lx + quad_.x[static_cast<std::size_t>(qx)]) * scale;
     for (int qy = 0; qy < k; ++qy) {
@@ -71,42 +85,19 @@ Coeffs MraContext::project_box_uncached(const TreeKey& key) const {
     }
   }
 
-  // Separable contraction with phi_i(x_q) w_q per dimension.
-  auto contract = [&](const std::vector<double>& in, int dim) {
-    std::vector<double> out(in.size(), 0.0);
-    for (int i = 0; i < k; ++i)
-      for (int q = 0; q < k; ++q) {
-        const double m = phiw_[static_cast<std::size_t>(i) * k + q];
-        for (int u = 0; u < k; ++u)
-          for (int v = 0; v < k; ++v) {
-            std::size_t iin, iout;
-            switch (dim) {
-              case 0:
-                iin = (static_cast<std::size_t>(q) * k + u) * k + v;
-                iout = (static_cast<std::size_t>(i) * k + u) * k + v;
-                break;
-              case 1:
-                iin = (static_cast<std::size_t>(u) * k + q) * k + v;
-                iout = (static_cast<std::size_t>(u) * k + i) * k + v;
-                break;
-              default:
-                iin = (static_cast<std::size_t>(u) * k + v) * k + q;
-                iout = (static_cast<std::size_t>(u) * k + v) * k + i;
-                break;
-            }
-            out[iout] += m * in[iin];
-          }
-      }
-    return out;
-  };
-  std::vector<double> s = contract(f, 0);
-  s = contract(s, 1);
-  s = contract(s, 2);
+  // Separable contraction with phi_i(x_q) w_q per dimension, x then y then
+  // z; the z-pass runs on the transposed block (see TwoScale::filter).
+  const int k2 = k * k;
+  quadrature_.apply(f, s, 1, k2);
+  quadrature_.apply(s, f, k, k);
+  transpose(f, s, k2, k);
+  quadrature_.apply(s, f, 1, k2);
   // Volume scaling: s_i = 2^{-3n/2} sum_q w f phi.
   const double vol = std::pow(scale, 1.5);
   Coeffs c;
-  c.v.resize(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) c.v[i] = s[i] * vol;
+  c.v.resize(n);
+  transpose(f, c.v.data(), k, k2);
+  for (double& v : c.v) v *= vol;
   return c;
 }
 
@@ -130,10 +121,10 @@ MraContext::NodeProjection MraContext::project_node_uncached(const TreeKey& key)
   auto child_s = project_children(key);
   NodeProjection np;
   auto parent = twoscale_.filter(child_s);
-  for (int c = 0; c < 8; ++c) {
-    const auto proj = twoscale_.unfilter_child(parent, c);
-    for (std::size_t i = 0; i < proj.size(); ++i) {
-      const double d = child_s[static_cast<std::size_t>(c)][i] - proj[i];
+  const auto proj = twoscale_.unfilter_all(parent);
+  for (std::size_t c = 0; c < 8; ++c) {
+    for (std::size_t i = 0; i < proj[c].size(); ++i) {
+      const double d = child_s[c][i] - proj[c][i];
       np.dnorm2 += d * d;
     }
   }

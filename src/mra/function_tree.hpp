@@ -12,12 +12,15 @@
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "mra/contraction.hpp"
 #include "mra/legendre.hpp"
 #include "mra/twoscale.hpp"
 #include "serialization/traits.hpp"
+#include "support/error.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 
@@ -111,6 +114,8 @@ class MraContext {
   [[nodiscard]] int k() const { return twoscale_.k(); }
   [[nodiscard]] int nfunctions() const { return static_cast<int>(fns_.size()); }
   [[nodiscard]] const Gaussian& fn(int fid) const {
+    TTG_CHECK(fid >= 0 && fid < nfunctions(),
+              "MraContext: no function with fid " + std::to_string(fid));
     return fns_[static_cast<std::size_t>(fid)];
   }
   [[nodiscard]] const TwoScale& twoscale() const { return twoscale_; }
@@ -119,11 +124,14 @@ class MraContext {
   /// Gauss-Legendre quadrature (k points per dimension).
   [[nodiscard]] Coeffs project_box(const TreeKey& key) const;
 
-  /// Memoize project_box results (benchmark convenience: strong-scaling
-  /// sweeps re-project the same functions many times; the math runs once
-  /// and later runs replay the cached coefficients). The simulator is
-  /// single-threaded, so no synchronization is needed.
+  /// Memoize project_box and project_node results (benchmark convenience:
+  /// strong-scaling sweeps re-project the same functions many times; the
+  /// math runs once and later runs replay the cached coefficients). The
+  /// caches have no lock, so only a run whose task bodies share one host
+  /// thread may use them; apps::mra::run and baselines::run_native_mra
+  /// reject a threaded engine while the cache is on.
   void enable_projection_cache() const { cache_enabled_ = true; }
+  [[nodiscard]] bool projection_cache_enabled() const { return cache_enabled_; }
 
   /// Coefficients of all 8 children of `key`.
   [[nodiscard]] std::array<std::vector<double>, 8> project_children(
@@ -157,7 +165,7 @@ class MraContext {
 
   TwoScale twoscale_;
   Quadrature quad_;
-  std::vector<double> phiw_;  // phi_i(x_q) * w_q, k x k row-major
+  Contraction quadrature_;  // M(i, q) = phi_i(x_q) w_q, every term kept
   std::vector<Gaussian> fns_;
   [[nodiscard]] NodeProjection project_node_uncached(const TreeKey& key) const;
 

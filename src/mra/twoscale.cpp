@@ -7,12 +7,15 @@
 
 namespace ttg::mra {
 
-TwoScale::TwoScale(int k) : k_(k) {
+namespace {
+
+/// H0/H1 by Gauss-Legendre quadrature exact for degree 2k-2.
+std::array<std::vector<double>, 2> two_scale_matrices(int k) {
   TTG_CHECK(k >= 1 && k <= 20, "unsupported multiwavelet order");
-  // Assemble H0/H1 by Gauss-Legendre quadrature exact for degree 2k-2.
   const auto q = gauss_legendre(2 * k);
-  h_[0].assign(static_cast<std::size_t>(k) * k, 0.0);
-  h_[1].assign(static_cast<std::size_t>(k) * k, 0.0);
+  std::array<std::vector<double>, 2> h;
+  h[0].assign(static_cast<std::size_t>(k) * k, 0.0);
+  h[1].assign(static_cast<std::size_t>(k) * k, 0.0);
   std::vector<double> phi_parent(static_cast<std::size_t>(k));
   std::vector<double> phi_child(static_cast<std::size_t>(k));
   const double sqrt2 = std::sqrt(2.0);
@@ -25,70 +28,77 @@ TwoScale::TwoScale(int k) : k_(k) {
       scaling_functions(x, k, phi_parent.data());
       for (int i = 0; i < k; ++i)
         for (int j = 0; j < k; ++j)
-          h_[c][static_cast<std::size_t>(i) * k + j] +=
+          h[c][static_cast<std::size_t>(i) * k + j] +=
               0.5 * w * phi_parent[static_cast<std::size_t>(i)] * sqrt2 *
               phi_child[static_cast<std::size_t>(j)];
     }
   }
+  return h;
 }
 
-std::vector<double> TwoScale::apply_tensor(const std::vector<double>& x, int cx, int cy,
-                                           int cz, bool transpose) const {
-  const int k = k_;
-  auto apply_dim = [&](const std::vector<double>& in, const std::vector<double>& m,
-                       int dim) {
-    // Coefficients indexed v[ix][iy][iz] flattened as (ix*k + iy)*k + iz.
-    std::vector<double> out(in.size(), 0.0);
-    for (int a = 0; a < k; ++a)
-      for (int b = 0; b < k; ++b) {
-        const double mab = transpose ? m[static_cast<std::size_t>(b) * k + a]
-                                     : m[static_cast<std::size_t>(a) * k + b];
-        if (mab == 0.0) continue;
-        for (int u = 0; u < k; ++u)
-          for (int v = 0; v < k; ++v) {
-            std::size_t iin, iout;
-            switch (dim) {
-              case 0:
-                iin = (static_cast<std::size_t>(b) * k + u) * k + v;
-                iout = (static_cast<std::size_t>(a) * k + u) * k + v;
-                break;
-              case 1:
-                iin = (static_cast<std::size_t>(u) * k + b) * k + v;
-                iout = (static_cast<std::size_t>(u) * k + a) * k + v;
-                break;
-              default:
-                iin = (static_cast<std::size_t>(u) * k + v) * k + b;
-                iout = (static_cast<std::size_t>(u) * k + v) * k + a;
-                break;
-            }
-            out[iout] += mab * in[iin];
-          }
-      }
-    return out;
-  };
-  std::vector<double> t = apply_dim(x, h_[cx], 0);
-  t = apply_dim(t, h_[cy], 1);
-  t = apply_dim(t, h_[cz], 2);
-  return t;
-}
+}  // namespace
+
+TwoScale::TwoScale(int k)
+    : k_(k),
+      h_(two_scale_matrices(k)),
+      down_{Contraction(k, h_[0], /*transpose=*/false, /*skip_zeros=*/true),
+            Contraction(k, h_[1], /*transpose=*/false, /*skip_zeros=*/true)},
+      up_{Contraction(k, h_[0], /*transpose=*/true, /*skip_zeros=*/true),
+          Contraction(k, h_[1], /*transpose=*/true, /*skip_zeros=*/true)} {}
+
+// A block [x][y][z] takes its x-pass with inner = k^2 and its y-pass with
+// outer = k, inner = k. The z-pass runs on the transposed block [z][x y]
+// with inner = k^2, and a last transpose restores the layout.
 
 std::vector<double> TwoScale::filter(
     const std::array<std::vector<double>, 8>& child_s) const {
-  std::vector<double> parent(static_cast<std::size_t>(coeffs_per_node()), 0.0);
+  const int k = k_;
+  const int k2 = k * k;
+  const std::size_t n = static_cast<std::size_t>(coeffs_per_node());
+  // Two pass buffers and the parent sum, which accumulates in the z-pass's
+  // transposed layout and is transposed once at the end.
+  std::vector<double> scratch(3 * n, 0.0);
+  double* s0 = scratch.data();
+  double* s1 = s0 + n;
+  double* sum = s1 + n;
   for (int c = 0; c < 8; ++c) {
-    const int cx = c & 1, cy = (c >> 1) & 1, cz = (c >> 2) & 1;
-    TTG_CHECK(static_cast<int>(child_s[c].size()) == coeffs_per_node(),
-              "filter: bad child block");
-    auto contrib = apply_tensor(child_s[c], cx, cy, cz, /*transpose=*/false);
-    for (std::size_t i = 0; i < parent.size(); ++i) parent[i] += contrib[i];
+    TTG_CHECK(child_s[static_cast<std::size_t>(c)].size() == n, "filter: bad child block");
+    down_[c & 1].apply(child_s[static_cast<std::size_t>(c)].data(), s0, 1, k2);
+    down_[(c >> 1) & 1].apply(s0, s1, k, k);
+    transpose(s1, s0, k2, k);
+    down_[(c >> 2) & 1].apply(s0, s1, 1, k2);
+    for (std::size_t i = 0; i < n; ++i) sum[i] += s1[i];
   }
+  std::vector<double> parent(n);
+  transpose(sum, parent.data(), k, k2);
   return parent;
 }
 
-std::vector<double> TwoScale::unfilter_child(const std::vector<double>& parent_s,
-                                             int c) const {
-  const int cx = c & 1, cy = (c >> 1) & 1, cz = (c >> 2) & 1;
-  return apply_tensor(parent_s, cx, cy, cz, /*transpose=*/true);
+std::array<std::vector<double>, 8> TwoScale::unfilter_all(
+    const std::vector<double>& parent_s) const {
+  const int k = k_;
+  const int k2 = k * k;
+  const std::size_t n = static_cast<std::size_t>(coeffs_per_node());
+  TTG_CHECK(parent_s.size() == n, "unfilter_all: parent block is not k^3");
+  // x[cx]: after the x-pass; yt[cy][cx]: after the y-pass, transposed for
+  // the z-pass; s: one pass buffer.
+  std::vector<double> scratch(7 * n);
+  double* x = scratch.data();
+  double* yt = x + 2 * n;
+  double* s = yt + 4 * n;
+  for (int cx = 0; cx < 2; ++cx) up_[cx].apply(parent_s.data(), x + cx * n, 1, k2);
+  for (int cy = 0; cy < 2; ++cy)
+    for (int cx = 0; cx < 2; ++cx) {
+      up_[cy].apply(x + cx * n, s, k, k);
+      transpose(s, yt + (2 * cy + cx) * n, k2, k);
+    }
+  std::array<std::vector<double>, 8> child;
+  for (int c = 0; c < 8; ++c) {
+    up_[(c >> 2) & 1].apply(yt + (c & 3) * n, s, 1, k2);
+    child[static_cast<std::size_t>(c)].resize(n);
+    transpose(s, child[static_cast<std::size_t>(c)].data(), k, k2);
+  }
+  return child;
 }
 
 double TwoScale::filter_flops() const {

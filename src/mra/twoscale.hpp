@@ -15,10 +15,16 @@
 // ("difference") part — an overcomplete but orthogonal-complement
 // representation of Alpert's multiwavelet coefficients with identical
 // norms, which is what the compress/reconstruct/norm algorithms need.
+//
+// Both run on Contraction passes, x then y then z, and give the same bits
+// as the textbook loops: each entry starts at +0.0, adds its terms in
+// ascending order and skips the zero entries of H0/H1.
 #pragma once
 
 #include <array>
 #include <vector>
+
+#include "mra/contraction.hpp"
 
 namespace ttg::mra {
 
@@ -38,20 +44,20 @@ class TwoScale {
   [[nodiscard]] std::vector<double> filter(
       const std::array<std::vector<double>, 8>& child_s) const;
 
-  /// Parent coefficients -> the projection of child `c`'s block.
-  [[nodiscard]] std::vector<double> unfilter_child(const std::vector<double>& parent_s,
-                                                   int c) const;
+  /// Parent coefficients (k^3) -> the projections of all 8 child blocks,
+  /// indexed like filter's input. The children share their x- and
+  /// y-passes: 2 + 4 + 8 passes instead of 3 per child.
+  [[nodiscard]] std::array<std::vector<double>, 8> unfilter_all(
+      const std::vector<double>& parent_s) const;
 
   /// Flops of one filter or unfilter sweep (cost model).
   [[nodiscard]] double filter_flops() const;
 
  private:
-  /// y = (H_{c0} ⊗ H_{c1} ⊗ H_{c2}) x with optional transpose.
-  [[nodiscard]] std::vector<double> apply_tensor(const std::vector<double>& x, int cx,
-                                                 int cy, int cz, bool transpose) const;
-
   int k_;
   std::array<std::vector<double>, 2> h_;
+  std::array<Contraction, 2> down_;  // H_c: child -> parent (filter)
+  std::array<Contraction, 2> up_;    // H_c^T: parent -> child (unfilter)
 };
 
 }  // namespace ttg::mra

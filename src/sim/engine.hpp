@@ -372,6 +372,9 @@ class Engine {
 
   /// True when this engine runs the sharded (lane + epoch barrier) core.
   [[nodiscard]] bool sharded() const { return sharded_; }
+  /// True when worker threads drain lanes concurrently, so event and task
+  /// bodies run on more than one OS thread.
+  [[nodiscard]] bool threaded() const { return !workers_.empty(); }
   /// Number of event lanes (1 in serial mode; excludes the shared lane).
   [[nodiscard]] int lanes() const {
     return sharded_ ? static_cast<int>(lanes_.size()) - 1 : 1;

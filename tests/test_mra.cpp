@@ -71,10 +71,7 @@ TEST(TwoScale, FilterUnfilterIdentityOnParentSpace) {
   support::Rng rng(17);
   std::vector<double> p(static_cast<std::size_t>(ts.coeffs_per_node()));
   for (auto& v : p) v = rng.uniform(-1, 1);
-  std::array<std::vector<double>, 8> children;
-  for (int c = 0; c < 8; ++c) children[static_cast<std::size_t>(c)] =
-      ts.unfilter_child(p, c);
-  auto back = ts.filter(children);
+  auto back = ts.filter(ts.unfilter_all(p));
   for (std::size_t i = 0; i < p.size(); ++i) EXPECT_NEAR(back[i], p[i], 1e-12);
 }
 
@@ -94,14 +91,28 @@ TEST(TwoScale, NormPreservation) {
   double parent_n2 = 0;
   for (double v : parent) parent_n2 += v * v;
   double resid_n2 = 0;
-  for (int c = 0; c < 8; ++c) {
-    auto proj = ts.unfilter_child(parent, c);
-    for (std::size_t i = 0; i < proj.size(); ++i) {
-      const double d = children[static_cast<std::size_t>(c)][i] - proj[i];
+  const auto proj = ts.unfilter_all(parent);
+  for (std::size_t c = 0; c < 8; ++c) {
+    for (std::size_t i = 0; i < proj[c].size(); ++i) {
+      const double d = children[c][i] - proj[c][i];
       resid_n2 += d * d;
     }
   }
   EXPECT_NEAR(child_n2, parent_n2 + resid_n2, 1e-10 * child_n2);
+}
+
+TEST(TwoScale, UnfilterAllRejectsAWrongSizeParent) {
+  const TwoScale ts(4);
+  const std::vector<double> short_parent(63, 1.0);
+  EXPECT_DEATH((void)ts.unfilter_all(short_parent), "parent block is not k\\^3");
+  const std::vector<double> long_parent(65, 1.0);
+  EXPECT_DEATH((void)ts.unfilter_all(long_parent), "parent block is not k\\^3");
+}
+
+TEST(MraContext, UnknownFunctionIdFailsNamingIt) {
+  const MraContext ctx(4, {Gaussian{1.0e3, 1.0, {0.5, 0.5, 0.5}}});
+  EXPECT_DEATH((void)ctx.project_box(TreeKey{3, 1, 0, 0, 0}), "no function with fid 3");
+  EXPECT_DEATH((void)ctx.must_refine(TreeKey{-1, 1, 0, 0, 0}), "no function with fid -1");
 }
 
 TEST(Projection, PolynomialProjectsExactlyAtAnyLevel) {
@@ -134,10 +145,10 @@ TEST(Projection, GaussianNormConverges) {
     auto child_s = ctx.project_children(key);
     auto parent = ctx.twoscale().filter(child_s);
     double d2 = 0;
-    for (int c = 0; c < 8; ++c) {
-      auto proj = ctx.twoscale().unfilter_child(parent, c);
-      for (std::size_t i = 0; i < proj.size(); ++i) {
-        const double d = child_s[static_cast<std::size_t>(c)][i] - proj[i];
+    const auto proj = ctx.twoscale().unfilter_all(parent);
+    for (std::size_t c = 0; c < 8; ++c) {
+      for (std::size_t i = 0; i < proj[c].size(); ++i) {
+        const double d = child_s[c][i] - proj[c][i];
         d2 += d * d;
       }
     }
@@ -236,6 +247,33 @@ TEST(NativeMra, MatchesTtgNumerics) {
   }
   for (const auto& [fid, n2] : ttg_norms)
     EXPECT_NEAR(native_norms.at(fid), n2, 1e-9 * n2);
+}
+
+// The projection cache has no lock, so a cached context must not meet an
+// engine whose lane threads run task bodies concurrently.
+rt::WorldConfig threaded_config() {
+  rt::WorldConfig cfg;
+  cfg.nranks = 2;
+  cfg.engine_lanes = 2;
+  cfg.engine_threads = 2;
+  return cfg;
+}
+
+TEST(MraProjectionCache, ThreadedTtgRunIsRejected) {
+  MraContext ctx(4, ttg::mra::random_gaussians(1, 3.0e4, 5));
+  ctx.enable_projection_cache();
+  rt::World world(threaded_config());
+  ASSERT_TRUE(world.engine().threaded());
+  EXPECT_THROW(apps::mra::run(world, ctx, apps::mra::Options{}), support::ApiError);
+}
+
+TEST(MraProjectionCache, ThreadedNativeRunIsRejected) {
+  MraContext ctx(4, ttg::mra::random_gaussians(1, 3.0e4, 5));
+  ctx.enable_projection_cache();
+  rt::World world(threaded_config());
+  ASSERT_TRUE(world.engine().threaded());
+  EXPECT_THROW(baselines::run_native_mra(world, ctx, baselines::NativeMraOptions{}),
+               support::ApiError);
 }
 
 TEST(NativeMra, BarriersMakeItSlower) {

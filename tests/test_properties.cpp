@@ -2,10 +2,13 @@
 // parameter grids (gtest TEST_P), cutting across modules.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "apps/cholesky/cholesky_ttg.hpp"
 #include "apps/fw_apsp/fw_ttg.hpp"
+#include "mra/function_tree.hpp"
 #include "mra/twoscale.hpp"
 #include "sparse/yukawa_gen.hpp"
 #include "ttg/ttg.hpp"
@@ -103,8 +106,7 @@ TEST_P(TwoScaleOrders, ParentSpaceIdentityAndNormSplit) {
   // filter(unfilter(p)) == p
   std::vector<double> p(static_cast<std::size_t>(ts.coeffs_per_node()));
   for (auto& v : p) v = rng.uniform(-1, 1);
-  std::array<std::vector<double>, 8> ch;
-  for (int c = 0; c < 8; ++c) ch[static_cast<std::size_t>(c)] = ts.unfilter_child(p, c);
+  auto ch = ts.unfilter_all(p);
   auto back = ts.filter(ch);
   double err = 0;
   for (std::size_t i = 0; i < p.size(); ++i) err = std::max(err, std::abs(back[i] - p[i]));
@@ -117,17 +119,218 @@ TEST_P(TwoScaleOrders, ParentSpaceIdentityAndNormSplit) {
   for (const auto& c : ch)
     for (double v : c) c2 += v * v;
   for (double v : parent) p2 += v * v;
-  for (int c = 0; c < 8; ++c) {
-    auto proj = ts.unfilter_child(parent, c);
-    for (std::size_t i = 0; i < proj.size(); ++i) {
-      const double d = ch[static_cast<std::size_t>(c)][i] - proj[i];
+  const auto proj = ts.unfilter_all(parent);
+  for (std::size_t c = 0; c < 8; ++c) {
+    for (std::size_t i = 0; i < proj[c].size(); ++i) {
+      const double d = ch[c][i] - proj[c][i];
       r2 += d * d;
     }
   }
   EXPECT_NEAR(c2, p2 + r2, 1e-9 * c2) << "k=" << k;
 }
 
-INSTANTIATE_TEST_SUITE_P(OrderSweep, TwoScaleOrders, ::testing::Values(1, 2, 3, 5, 8, 10));
+// The loops the MRA contraction passes replaced. filter, unfilter_all,
+// project_box and project_node must give every entry exactly these
+// floating-point operations, bit for bit.
+namespace textbook {
+
+using Block = std::vector<double>;
+
+/// out = M applied to dimension `dim` of the k^3 block `in`, M(a, b) =
+/// m[a k + b] (m[b k + a] when `transpose`); zero M(a, b) skipped when
+/// `skip_zeros`, as the two-scale loops did (the projection kept them).
+Block apply_dim(const Block& in, const Block& m, int k, int dim, bool transpose,
+                bool skip_zeros) {
+  Block out(in.size(), 0.0);
+  for (int a = 0; a < k; ++a)
+    for (int b = 0; b < k; ++b) {
+      const double mab = transpose ? m[static_cast<std::size_t>(b) * k + a]
+                                   : m[static_cast<std::size_t>(a) * k + b];
+      if (skip_zeros && mab == 0.0) continue;
+      for (int u = 0; u < k; ++u)
+        for (int v = 0; v < k; ++v) {
+          std::size_t iin, iout;
+          switch (dim) {
+            case 0:
+              iin = (static_cast<std::size_t>(b) * k + u) * k + v;
+              iout = (static_cast<std::size_t>(a) * k + u) * k + v;
+              break;
+            case 1:
+              iin = (static_cast<std::size_t>(u) * k + b) * k + v;
+              iout = (static_cast<std::size_t>(u) * k + a) * k + v;
+              break;
+            default:
+              iin = (static_cast<std::size_t>(u) * k + v) * k + b;
+              iout = (static_cast<std::size_t>(u) * k + v) * k + a;
+              break;
+          }
+          out[iout] += mab * in[iin];
+        }
+    }
+  return out;
+}
+
+Block apply_tensor(const mra::TwoScale& ts, const Block& x, int c, bool transpose) {
+  const int k = ts.k();
+  Block t = apply_dim(x, ts.h(c & 1), k, 0, transpose, true);
+  t = apply_dim(t, ts.h((c >> 1) & 1), k, 1, transpose, true);
+  return apply_dim(t, ts.h((c >> 2) & 1), k, 2, transpose, true);
+}
+
+Block filter(const mra::TwoScale& ts, const std::array<Block, 8>& child_s) {
+  Block parent(static_cast<std::size_t>(ts.coeffs_per_node()), 0.0);
+  for (int c = 0; c < 8; ++c) {
+    const Block contrib = apply_tensor(ts, child_s[static_cast<std::size_t>(c)], c, false);
+    for (std::size_t i = 0; i < parent.size(); ++i) parent[i] += contrib[i];
+  }
+  return parent;
+}
+
+Block unfilter_child(const mra::TwoScale& ts, const Block& parent_s, int c) {
+  return apply_tensor(ts, parent_s, c, true);
+}
+
+Block project_box(int k, const mra::Gaussian& g, const mra::TreeKey& key) {
+  const auto quad = mra::gauss_legendre(k);
+  Block phiw(static_cast<std::size_t>(k) * k, 0.0);
+  Block phi(static_cast<std::size_t>(k));
+  for (int q = 0; q < k; ++q) {
+    mra::scaling_functions(quad.x[static_cast<std::size_t>(q)], k, phi.data());
+    for (int i = 0; i < k; ++i)
+      phiw[static_cast<std::size_t>(i) * k + q] =
+          phi[static_cast<std::size_t>(i)] * quad.w[static_cast<std::size_t>(q)];
+  }
+  const double scale = std::pow(2.0, -key.level);
+  Block f(static_cast<std::size_t>(k) * k * k);
+  for (int qx = 0; qx < k; ++qx) {
+    const double x = (key.lx + quad.x[static_cast<std::size_t>(qx)]) * scale;
+    for (int qy = 0; qy < k; ++qy) {
+      const double y = (key.ly + quad.x[static_cast<std::size_t>(qy)]) * scale;
+      for (int qz = 0; qz < k; ++qz) {
+        const double z = (key.lz + quad.x[static_cast<std::size_t>(qz)]) * scale;
+        f[(static_cast<std::size_t>(qx) * k + qy) * k + qz] = g.eval(x, y, z);
+      }
+    }
+  }
+  Block s = apply_dim(f, phiw, k, 0, false, false);
+  s = apply_dim(s, phiw, k, 1, false, false);
+  s = apply_dim(s, phiw, k, 2, false, false);
+  const double vol = std::pow(scale, 1.5);
+  for (double& v : s) v *= vol;
+  return s;
+}
+
+mra::MraContext::NodeProjection project_node(const mra::TwoScale& ts, const mra::Gaussian& g,
+                                             const mra::TreeKey& key) {
+  std::array<Block, 8> child_s;
+  for (int c = 0; c < 8; ++c)
+    child_s[static_cast<std::size_t>(c)] = project_box(ts.k(), g, key.child(c));
+  mra::MraContext::NodeProjection np;
+  np.parent.v = filter(ts, child_s);
+  for (int c = 0; c < 8; ++c) {
+    const Block proj = unfilter_child(ts, np.parent.v, c);
+    for (std::size_t i = 0; i < proj.size(); ++i) {
+      const double d = child_s[static_cast<std::size_t>(c)][i] - proj[i];
+      np.dnorm2 += d * d;
+    }
+  }
+  return np;
+}
+
+}  // namespace textbook
+
+::testing::AssertionResult SameBits(const std::vector<double>& got,
+                                    const std::vector<double>& want) {
+  if (got.size() != want.size()) return ::testing::AssertionFailure() << "size differs";
+  if (std::memcmp(got.data(), want.data(), got.size() * sizeof(double)) != 0)
+    return ::testing::AssertionFailure() << "bits differ";
+  return ::testing::AssertionSuccess();
+}
+
+/// n uniform entries, about one in five a signed zero.
+std::vector<double> with_zeros(support::Rng& rng, std::size_t n) {
+  std::vector<double> v(n);
+  for (auto& x : v)
+    x = rng.uniform(0.0, 1.0) < 0.2 ? (rng.bernoulli(0.5) ? 0.0 : -0.0) : rng.uniform(-1, 1);
+  return v;
+}
+
+/// n signed zeros. Each pass over them sums to +0.0 only because every
+/// entry starts at +0.0: a sum started from its first product keeps -0.0.
+std::vector<double> signed_zeros(support::Rng& rng, std::size_t n) {
+  std::vector<double> v(n);
+  for (auto& x : v) x = rng.bernoulli(0.5) ? 0.0 : -0.0;
+  return v;
+}
+
+// k = 2, 4, 8 and 9 are the orders whose H0/H1 hold exact zeros; there a
+// +-inf input entry shows whether the zero entries are skipped (0 * inf is
+// NaN). With finite inputs a skipped term and an added zero agree.
+TEST_P(TwoScaleOrders, BitIdenticalToTextbookLoops) {
+  const int k = GetParam();
+  const mra::TwoScale ts(k);
+  const std::size_t n = static_cast<std::size_t>(ts.coeffs_per_node());
+  support::Rng rng(static_cast<std::uint64_t>(100 + k));
+  const auto index = [k](int x, int y, int z) {
+    return (static_cast<std::size_t>(x) * k + y) * k + z;
+  };
+
+  // Parent blocks for the unfilters and child sets for filter.
+  std::vector<std::vector<double>> parents = {with_zeros(rng, n), signed_zeros(rng, n)};
+  std::vector<std::array<std::vector<double>, 8>> child_sets(3);
+  for (auto& set : child_sets)
+    for (auto& c : set) c = with_zeros(rng, n);
+  for (auto& c : child_sets[1]) c = signed_zeros(rng, n);
+  child_sets[2][5] = signed_zeros(rng, n);
+
+  // An exact zero H0(r, j) drops term j of output r in filter and term r of
+  // output j in the unfilters; put an infinity where those terms read.
+  int zr = -1, zj = -1;
+  for (int i = 0; i < k * k && zr < 0; ++i)
+    if (ts.h(0)[static_cast<std::size_t>(i)] == 0.0) zr = i / k, zj = i % k;
+  if (k == 2 || k == 4 || k == 8 || k == 9) {
+    ASSERT_GE(zr, 0) << "H0 has no exact zero";
+  }
+  if (zr >= 0) {
+    const double inf = std::numeric_limits<double>::infinity();
+    parents.push_back(with_zeros(rng, n));
+    parents.back()[index(zr, zr, zr)] = -inf;
+    child_sets.push_back(child_sets[0]);
+    child_sets.back()[0][index(zj, zj, zj)] = inf;
+  }
+
+  for (std::size_t p = 0; p < parents.size(); ++p) {
+    const auto got = ts.unfilter_all(parents[p]);
+    for (int c = 0; c < 8; ++c)
+      EXPECT_TRUE(SameBits(got[static_cast<std::size_t>(c)],
+                           textbook::unfilter_child(ts, parents[p], c)))
+          << "unfilter parent " << p << " child " << c;
+  }
+  for (std::size_t s = 0; s < child_sets.size(); ++s)
+    EXPECT_TRUE(SameBits(ts.filter(child_sets[s]), textbook::filter(ts, child_sets[s])))
+        << "filter set " << s;
+
+  // Projection: a box holding the center, its parent and the root; and a
+  // box so far from a negative Gaussian that f is -0.0 at every point.
+  const mra::Gaussian g{3.0e4, 1.5, {0.31, 0.62, 0.47}};
+  const mra::Gaussian far{3.0e4, -1.0, {0.2, 0.2, 0.2}};
+  const mra::MraContext ctx(k, {g, far});
+  const std::vector<mra::TreeKey> keys = {
+      {0, 0, 0, 0, 0}, {0, 2, 1, 2, 1}, {0, 4, 4, 9, 7}, {1, 2, 3, 3, 3}};
+  for (const auto& key : keys) {
+    const mra::Gaussian& fk = key.fid == 0 ? g : far;
+    EXPECT_TRUE(SameBits(ctx.project_box(key).v, textbook::project_box(k, fk, key)))
+        << "project_box level " << key.level << " fid " << key.fid;
+    const auto got = ctx.project_node(key);
+    const auto want = textbook::project_node(ts, fk, key);
+    EXPECT_TRUE(SameBits(got.parent.v, want.parent.v))
+        << "project_node level " << key.level << " fid " << key.fid;
+    EXPECT_EQ(std::memcmp(&got.dnorm2, &want.dnorm2, sizeof(double)), 0)
+        << "project_node dnorm2 level " << key.level << " fid " << key.fid;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(OrderSweep, TwoScaleOrders, ::testing::Range(1, 11));
 
 /* ---------- FW over random graphs: metric properties ---------- */
 
