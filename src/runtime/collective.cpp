@@ -15,41 +15,12 @@
 
 namespace ttg::rt::collective {
 
-std::vector<int> tree_children(int pos, int nmembers, int arity) {
-  if (arity < 1) arity = 1;
-  std::vector<int> out;
-  const long first = static_cast<long>(pos) * arity + 1;
-  for (long c = first; c < first + arity && c <= nmembers; ++c)
-    out.push_back(static_cast<int>(c));
-  return out;
-}
+namespace {
 
-std::vector<int> tree_subtree(int pos, int nmembers, int arity) {
-  std::vector<int> out;
-  std::vector<int> stack{pos};
-  while (!stack.empty()) {
-    const int p = stack.back();
-    stack.pop_back();
-    if (p > 0) out.push_back(p);
-    const auto kids = tree_children(p, nmembers, arity);
-    // Reverse push so preorder comes out left-to-right.
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
-  }
-  return out;
-}
-
-int tree_subtree_size(int pos, int nmembers, int arity) {
-  return static_cast<int>(tree_subtree(pos, nmembers, arity).size());
-}
-
-int tree_depth(int nmembers, int arity) {
-  if (arity < 1) arity = 1;
-  int depth = 0;
-  // The deepest position is nmembers; walk parents back to the root.
-  for (long p = nmembers; p > 0; p = (p - 1) / arity) ++depth;
-  return depth;
-}
-
+/// Topology-aware member order for a tree rooted at `root_rank`: members on
+/// the root's node first, then the remaining members grouped by node
+/// (nodes ascending), ranks ascending within each group. With
+/// ranks_per_node <= 1 this is simply ascending rank order.
 std::vector<int> layout_members(int root_rank, std::vector<int> members,
                                 const Topology& topo) {
   const int root_node = topo.node_of(root_rank);
@@ -62,6 +33,8 @@ std::vector<int> layout_members(int root_rank, std::vector<int> members,
   });
   return members;
 }
+
+}  // namespace
 
 TreeShape build_tree(int root_rank, std::vector<int> members, int arity,
                      const Topology& topo) {
@@ -111,6 +84,18 @@ TreeShape build_tree(int root_rank, std::vector<int> members, int arity,
   return s;
 }
 
+TreeShape star(int root_rank, std::vector<int> members) {
+  TreeShape s;
+  s.ranks = std::move(members);
+  s.ranks.insert(s.ranks.begin(), root_rank);
+  const std::size_t m = s.ranks.size() - 1;
+  s.children.assign(m + 1, {});
+  for (std::size_t p = 1; p <= m; ++p) s.children[0].push_back(static_cast<int>(p));
+  s.parent.assign(m + 1, 0);
+  s.parent[0] = -1;
+  return s;
+}
+
 std::vector<int> shape_subtree(const TreeShape& shape, int pos) {
   std::vector<int> out;
   std::vector<int> stack{pos};
@@ -123,17 +108,6 @@ std::vector<int> shape_subtree(const TreeShape& shape, int pos) {
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) stack.push_back(*it);
   }
   return out;
-}
-
-int shape_depth(const TreeShape& shape) {
-  int deepest = 0;
-  for (std::size_t p = 1; p < shape.parent.size(); ++p) {
-    int depth = 0;
-    for (int q = static_cast<int>(p); q > 0; q = shape.parent[static_cast<std::size_t>(q)])
-      ++depth;
-    deepest = std::max(deepest, depth);
-  }
-  return deepest;
 }
 
 int pick_arity(const CollectivePolicy& policy, bool reduce, int fan,

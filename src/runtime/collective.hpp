@@ -12,6 +12,10 @@
 // clipped to M; with M <= k the tree degenerates to the flat root-to-all
 // pattern bit-identically.
 //
+// Every other remote TTG send is laid out as a star (see star()): the root
+// has every member as a child, one member per destination rank (or per
+// key), in the given order — the flat pattern of point-to-point messages.
+//
 // Streaming reductions route the same trees *inverted*: members send
 // combined partial values toward position 0 (the key's owner rank).
 //
@@ -39,23 +43,6 @@ struct MachineModel;  // sim/machine.hpp
 
 namespace ttg::rt::collective {
 
-/// Child positions of `pos` in the heap-shaped k-ary tree over positions
-/// 0..nmembers (position 0 = root/sender). `arity` < 1 is treated as 1.
-[[nodiscard]] std::vector<int> tree_children(int pos, int nmembers, int arity);
-
-/// All member positions in the subtree rooted at `pos` (including `pos`
-/// itself when > 0), in deterministic preorder. For pos == 0 this is every
-/// member 1..nmembers.
-[[nodiscard]] std::vector<int> tree_subtree(int pos, int nmembers, int arity);
-
-/// Number of members in the subtree rooted at `pos` (pos itself included
-/// when > 0).
-[[nodiscard]] int tree_subtree_size(int pos, int nmembers, int arity);
-
-/// Depth of the deepest member (root = depth 0): the number of serial hops
-/// a tree broadcast takes — O(log_k M).
-[[nodiscard]] int tree_depth(int nmembers, int arity);
-
 /// Machine model for topology-aware tree layout: `ranks_per_node`
 /// consecutive ranks share a node (the usual block process mapping), so
 /// rank r lives on node r / ranks_per_node. <= 1 means every rank is its
@@ -78,29 +65,24 @@ struct TreeShape {
   [[nodiscard]] int nmembers() const { return static_cast<int>(ranks.size()) - 1; }
 };
 
-/// Topology-aware member order for a tree rooted at `root_rank`: members on
-/// the root's node first, then the remaining members grouped by node
-/// (nodes ascending), ranks ascending within each group. With
-/// ranks_per_node <= 1 this is simply ascending rank order.
-[[nodiscard]] std::vector<int> layout_members(int root_rank, std::vector<int> members,
-                                              const Topology& topo);
-
 /// Build the k-ary tree over `members` rooted at `root_rank`, packing each
 /// node's members into one subtree: the root-node group and the leader
 /// (lowest-rank member) of every other node hang as a heap under the root;
 /// a group's remaining members hang as a heap under their leader. Exactly
 /// one inter-node edge enters each non-root node's group. With
 /// ranks_per_node <= 1 every group is a singleton, and the shape is the
-/// plain position heap over ascending ranks (identical to tree_children).
+/// plain position heap over ascending ranks.
 [[nodiscard]] TreeShape build_tree(int root_rank, std::vector<int> members, int arity,
                                    const Topology& topo);
+
+/// The star over `members` rooted at `root_rank`: position p holds
+/// members[p - 1] as given (a rank may repeat) and every member is a child
+/// of the root.
+[[nodiscard]] TreeShape star(int root_rank, std::vector<int> members);
 
 /// All member positions in the subtree rooted at `pos` of an explicit
 /// shape (pos itself included when > 0), in deterministic preorder.
 [[nodiscard]] std::vector<int> shape_subtree(const TreeShape& shape, int pos);
-
-/// Depth of the deepest member of an explicit shape (root = depth 0).
-[[nodiscard]] int shape_depth(const TreeShape& shape);
 
 /// Adaptive arity selection (CollectivePolicy::adaptive): derive the tree
 /// arity for one collective from its fan (destination count for a

@@ -48,7 +48,7 @@ void JobManager::admit(std::size_t idx) {
   // The starter primes the graph (stream sizes, initiator invokes) under the
   // job's ambient context so every task, message and DataCopy it spawns is
   // attributed to this job.
-  world_.run_as_job(info.id, [&]() { starters_[idx](info.id); });
+  world_.run_as(world_.rank(), info.id, [&]() { starters_[idx](info.id); });
 }
 
 void JobManager::complete(JobId id) {

@@ -11,6 +11,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -148,20 +149,6 @@ class World {
   /// Rank on whose behalf code is currently executing.
   [[nodiscard]] int rank() const { return current_rank_; }
 
-  /// Execute `fn` in the context of rank `r` (restores on exit). On a
-  /// sharded engine this also sets the ambient event lane to r's lane, so
-  /// engine pushes made by `fn` (task completions, send charges) land on the
-  /// lane that owns the rank without per-call plumbing.
-  template <typename F>
-  void run_as(int r, F&& fn) {
-    TTG_CHECK(r >= 0 && r < nranks(), "rank out of range");
-    sim::Engine::LaneScope lane(engine_, engine_.lane_of(r));
-    const int saved = current_rank_;
-    current_rank_ = r;
-    fn();
-    current_rank_ = saved;
-  }
-
   /// Serving-mode job on whose behalf code is currently executing
   /// (kDefaultJob outside multi-tenant runs). CommEngine, DataTracker, and
   /// Tracer all read this through their job-source pointer, so everything a
@@ -169,14 +156,28 @@ class World {
   /// to its job without any per-call plumbing.
   [[nodiscard]] JobId current_job() const { return current_job_; }
 
-  /// Execute `fn` in the context of job `j` (restores on exit). Deferred
-  /// engine callbacks capture the job at issue time and re-enter it here.
+  /// Execute `fn` as rank `r` within job `j`, restoring both on exit: the
+  /// one scope through which code enters a rank and a job. Deferred engine
+  /// callbacks capture the job at issue time and re-enter it here. On a
+  /// sharded engine this also sets the ambient event lane to r's lane, so
+  /// engine pushes made by `fn` (task completions, send charges) land on the
+  /// lane that owns the rank without per-call plumbing.
   template <typename F>
-  void run_as_job(JobId j, F&& fn) {
-    const JobId saved = current_job_;
+  void run_as(int r, JobId j, F&& fn) {
+    TTG_CHECK(r >= 0 && r < nranks(), "rank out of range");
+    sim::Engine::LaneScope lane(engine_, engine_.lane_of(r));
+    const int saved_rank = current_rank_;
+    const JobId saved_job = current_job_;
+    current_rank_ = r;
     current_job_ = j;
     fn();
-    current_job_ = saved;
+    current_rank_ = saved_rank;
+    current_job_ = saved_job;
+  }
+  /// Execute `fn` as rank `r` within the current job.
+  template <typename F>
+  void run_as(int r, F&& fn) {
+    run_as(r, current_job_, std::forward<F>(fn));
   }
 
   /// Multi-tenant job admission/lifecycle (lazily created; owns the

@@ -129,7 +129,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   /// call during graph setup or from a task on any rank.
   template <std::size_t I>
   void set_argstream_size(const Key& key, std::int64_t n) {
-    world_.run_as(keymap_(key), [&]() { set_stream_size<I>(key, n); });
+    world_.run_as(keymap(key), [&]() { set_stream_size<I>(key, n); });
   }
 
   // --- introspection ---
@@ -141,7 +141,17 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     return n + reduce_pending(std::make_index_sequence<kNumIn>{});
   }
   [[nodiscard]] std::uint64_t tasks_executed() const override { return executed_; }
-  [[nodiscard]] int keymap(const Key& k) const { return keymap_(k); }
+  /// Owner rank of task `key`: the keymap's value, checked to lie in
+  /// [0, nranks). Every read of the keymap goes through here, so a bad
+  /// value fails naming the TT, the key, the rank and the value instead of
+  /// reaching the network with a rank that does not exist.
+  [[nodiscard]] int keymap(const Key& key) const {
+    const int r = keymap_(key);
+    TTG_CHECK(r >= 0 && r < world_.nranks(),
+              failure(key, "keymap returned rank " + std::to_string(r) + ", outside [0, " +
+                               std::to_string(world_.nranks()) + ")"));
+    return r;
+  }
   [[nodiscard]] rt::World& world() const { return world_; }
 
   /// Access output terminal I (e.g. for manual injection in tests).
@@ -165,7 +175,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   void invoke(const Key& key)
     requires(kNumIn == 0)
   {
-    world_.run_as(keymap_(key), [&]() { create_task(key, input_values{}); });
+    world_.run_as(keymap(key), [&]() { create_task(key, input_values{}); });
   }
 
  private:
@@ -175,7 +185,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
    public:
     using value_type = std::tuple_element_t<I, input_values>;
     explicit Slot(TT* tt = nullptr) : tt_(tt) {}
-    [[nodiscard]] int owner(const Key& k) const override { return tt_->keymap_(k); }
+    [[nodiscard]] int owner(const Key& k) const override { return tt_->keymap(k); }
     void put_local(const Key& k, const value_type& v) override {
       // Each task owns private inputs: this is the one physical copy every
       // by-reference delivery pays, accounted in the data-lifecycle layer.
@@ -459,7 +469,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   template <std::size_t I>
   void reduce_put(const Key& key, std::tuple_element_t<I, input_values>&& v) {
     const int me = world_.rank();
-    const int owner = keymap_(key);
+    const int owner = keymap(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
     TTG_CHECK(!rec.closed,
@@ -501,7 +511,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   template <std::size_t I>
   void on_count(const Key& key, int slot, std::int64_t cum) {
     const int me = world_.rank();
-    const int owner = keymap_(key);
+    const int owner = keymap(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
     if (rec.closed) {
@@ -559,7 +569,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
 
   template <std::size_t I>
   void on_collect(const Key& key) {
-    const int owner = keymap_(key);
+    const int owner = keymap(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
     TTG_CHECK(!rec.closed, failure(key, "collect wave reached an already-closed subtree"));
@@ -573,7 +583,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   /// replies carry each subtree's authoritative final count.
   template <std::size_t I>
   void reduce_finalize(const Key& key) {
-    const int owner = keymap_(key);
+    const int owner = keymap(key);
     TTG_CHECK(world_.rank() == owner, failure(key, "finalize must run on the key's owner"));
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
@@ -599,7 +609,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
 
   template <std::size_t I>
   void on_close(const Key& key) {
-    const int owner = keymap_(key);
+    const int owner = keymap(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
     TTG_CHECK(!rec.closed, failure(key, "close wave reached an already-closed subtree"));
@@ -610,7 +620,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   /// Owner: set_argstream_size for one key (runs on the owner).
   template <std::size_t I>
   void reduce_set_target(const Key& key, std::int64_t n) {
-    const int owner = keymap_(key);
+    const int owner = keymap(key);
     TTG_CHECK(world_.rank() == owner,
               failure(key, "stream size must be set on the key's owner"));
     const ReduceShape& rs = reduce_shape<I>(owner);
@@ -624,7 +634,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   template <std::size_t I>
   void on_partial(const Key& key, int slot, std::int64_t cum,
                   std::tuple_element_t<I, input_values>&& v) {
-    const int owner = keymap_(key);
+    const int owner = keymap(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
     world_.comm().mutable_stats().reduce_combines += 1;
@@ -640,7 +650,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   /// Close reply from a subtree that never saw a contribution.
   template <std::size_t I>
   void on_final_zero(const Key& key, int slot) {
-    const int owner = keymap_(key);
+    const int owner = keymap(key);
     const ReduceShape& rs = reduce_shape<I>(owner);
     auto& rec = rrec<I>(key, owner, rs);
     TTG_CHECK(!rec.replied[static_cast<std::size_t>(slot)],
@@ -681,7 +691,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     }
     const std::int64_t cum = reduce_view(rec);
     const int me = world_.rank();
-    const int owner = keymap_(key);
+    const int owner = keymap(key);
     rec.done = true;
     if (me == owner) {
       if (rec.collecting)
@@ -723,46 +733,11 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     maybe_fire(key);
   }
 
-  /// 64-byte reduction-control AM (Count/Collect/Close/FinalZero), charged
-  /// and traced exactly like Out::control's stream-control messages; rides
-  /// the AM coalescer and ReliableLink like any other control traffic.
-  void reduce_ctrl(int from, int to, std::function<void()> action) {
-    auto& w = world_;
-    auto& comm = w.comm();
-    constexpr std::size_t kCtrlBytes = 64;
-    const double cpu = comm.send_side_cpu(kCtrlBytes, ser::Protocol::Trivial);
-    const double delay = w.scheduler(from).charge(cpu);
-    rt::Tracer* tr = w.tracing() ? &w.tracer() : nullptr;
-    std::uint32_t msg = rt::Tracer::kNoNode;
-    if (tr != nullptr) {
-      msg = tr->message_created(name_ + "#rtree", from, to, kCtrlBytes,
-                                /*splitmd=*/false);
-      tr->add_copies(from, comm.send_copies(ser::Protocol::Trivial));
-      tr->add_copies(to, comm.recv_copies(ser::Protocol::Trivial));
-    }
-    rt::World* wp = &world_;
-    const rt::JobId job = w.current_job();
-    w.engine().after(delay, [wp, job, from, to, action = std::move(action), tr,
-                             msg]() {
-      wp->run_as_job(job, [&]() {
-        if (tr != nullptr) tr->message_sent(msg, wp->engine().now());
-        wp->comm().send_message(from, to, kCtrlBytes, [wp, job, to, action, tr,
-                                                       msg]() {
-          wp->run_as_job(job, [&]() {
-            wp->run_as(to, [&]() {
-              // Count/Collect/Close arrivals can complete a reduction (and a
-              // task): keep the causality context so it links to this message.
-              if (tr != nullptr) {
-                tr->message_delivered(msg, wp->engine().now());
-                tr->set_context(msg);
-              }
-              action();
-              if (tr != nullptr) tr->clear_context();
-            });
-          });
-        });
-      });
-    });
+  /// Reduction-control AM (Count/Collect/Close/FinalZero): the same
+  /// 64-byte control message as Out::control's stream size and finalize.
+  template <typename Action>
+  void reduce_ctrl(int from, int to, Action action) {
+    detail::send_control(world_, name_, "#rtree", from, to, std::move(action));
   }
 
   /// Ship one combined partial (value + {key, child slot, final count}) up
@@ -777,11 +752,12 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
                            std::int64_t cum,
                            std::tuple_element_t<I, input_values>&& value) {
     using V = std::tuple_element_t<I, input_values>;
+    static_assert(std::is_default_constructible_v<V>,
+                  "remote TTG values must be default-constructible");
+    constexpr ser::Protocol proto = detail::whole_object_protocol<V>();
     auto& w = world_;
     auto& comm = w.comm();
     rt::DataCopy<V> data(w.data_tracker(), comm, from, std::move(value));
-    static_assert(std::is_default_constructible_v<V>,
-                  "remote TTG values must be default-constructible");
     bool cache_hit = false;
     auto vbuf = data.serialized(&cache_hit);  // a fresh partial: always a miss
     ser::OutputArchive har;
@@ -790,52 +766,26 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
     har& cum;
     auto hbuf = std::make_shared<const std::vector<std::byte>>(har.release());
     const std::size_t wire = ser::wire_size(data.value(), vbuf->size() + hbuf->size());
-    constexpr ser::Protocol proto =
-        ser::protocol_for<V>() == ser::Protocol::SplitMetadata
-            ? ser::Protocol::Archive
-            : ser::protocol_for<V>();
     const double cpu =
         cache_hit ? comm.per_message_cpu() : comm.send_side_cpu(wire, proto);
     const double delay = w.scheduler(from).charge(cpu);
-    rt::Tracer* tr = w.tracing() ? &w.tracer() : nullptr;
-    std::uint32_t msg = rt::Tracer::kNoNode;
-    if (tr != nullptr) {
-      msg = tr->message_created(name_ + "#rtree", from, to, wire, /*splitmd=*/false);
-      tr->add_copies(from, cache_hit ? 0 : comm.send_copies(proto));
-      tr->add_copies(to, comm.recv_copies(proto));
-    }
-    rt::World* wp = &world_;
-    const rt::JobId job = w.current_job();
-    w.engine().after(delay, [this, wp, job, from, to, wire, vbuf, hbuf, data, tr,
-                             msg]() {
-      wp->run_as_job(job, [&]() {
-        if (tr != nullptr) tr->message_sent(msg, wp->engine().now());
-        wp->comm().send_payload(from, to, wire, data.pin(),
-                                [this, wp, job, to, vbuf, hbuf, tr, msg]() {
-          using VV = std::tuple_element_t<I, input_values>;
-          ser::InputArchive ia(*vbuf);
-          VV v{};
-          ia& v;
-          ser::InputArchive ha(*hbuf);
-          Key k{};
-          int slot2 = 0;
-          std::int64_t cum2 = 0;
-          ha& k;
-          ha& slot2;
-          ha& cum2;
-          wp->run_as_job(job, [&]() {
-            wp->run_as(to, [&]() {
-              if (tr != nullptr) {
-                tr->message_delivered(msg, wp->engine().now());
-                tr->set_context(msg);
-              }
-              this->template on_partial<I>(k, slot2, cum2, std::move(v));
-              if (tr != nullptr) tr->clear_context();
-            });
+    detail::Message::open(w, name_, "#rtree", from, to, wire, proto, /*staged=*/!cache_hit)
+        .inject(delay, [this, wire, vbuf, hbuf, data](const detail::Message& m) {
+          m.world->comm().send_payload(m.src, m.dst, wire, data.pin(),
+                                       [this, vbuf, hbuf, m]() {
+            ser::InputArchive ia(*vbuf);
+            V v{};
+            ia& v;
+            ser::InputArchive ha(*hbuf);
+            Key k{};
+            int slot2 = 0;
+            std::int64_t cum2 = 0;
+            ha& k;
+            ha& slot2;
+            ha& cum2;
+            m.deliver([&]() { this->template on_partial<I>(k, slot2, cum2, std::move(v)); });
           });
         });
-      });
-    });
   }
 
   /// Live (non-tombstoned) reduction records, counted into pending_records
@@ -869,8 +819,8 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
   void create_task(const Key& key, input_values&& vals) {
     const int rank = world_.rank();
     // Capture the ambient job at record-completion time: every path that can
-    // complete a record (injection, local put, remote delivery) runs under
-    // run_as_job, so the task body re-enters the same job when it fires.
+    // complete a record (injection, local put, remote delivery) runs inside
+    // a job, so the task body re-enters the same job when it fires.
     const rt::JobId job = world_.current_job();
     const bool traced = world_.tracing();
     // With placement Off the device op is never consulted, so the Off path is
@@ -890,11 +840,9 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
          .key = traced ? key_to_string(key) : std::string(),
          .device = on_device ? std::optional(call_map(device_op_)) : std::nullopt,
          .body = [this, rank, job, key, vals = std::move(vals)]() mutable {
-           world_.run_as_job(job, [&]() {
-             world_.run_as(rank, [&]() {
-               ++executed_;
-               call_body(key, vals);
-             });
+           world_.run_as(rank, job, [&]() {
+             ++executed_;
+             call_body(key, vals);
            });
          }});
   }
@@ -909,7 +857,7 @@ class TT<Key, Fn, std::tuple<InV...>, std::tuple<OutTerm...>> final : public rt:
 
   template <std::size_t... Is>
   void inject(const Key& key, input_values&& tup, std::index_sequence<Is...>) {
-    world_.run_as(keymap_(key), [&]() {
+    world_.run_as(keymap(key), [&]() {
       (put<Is>(key, std::move(std::get<Is>(tup))), ...);
     });
   }

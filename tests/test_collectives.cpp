@@ -1,4 +1,4 @@
-// Tests of the collective data plane: spanning-tree shape helpers, the
+// Tests of the collective data plane: spanning-tree and star shapes, the
 // tree-routed broadcast on both wire protocols (whole-object archive and
 // split-metadata), eager-AM coalescing, per-backend CollectivePolicy
 // defaults and WorldConfig overrides, recovery of tree hops under fault
@@ -34,44 +34,39 @@ WorldConfig cfg(int nranks, BackendKind b = BackendKind::Parsec) {
 
 // ---- tree shape: pure functions, pinned down without a world ----
 
+/// The tree over members 1..n rooted at rank 0 with every rank its own
+/// node: position p holds rank p, so positions and ranks coincide.
+coll::TreeShape heap(int n, int arity) {
+  std::vector<int> members;
+  for (int r = 1; r <= n; ++r) members.push_back(r);
+  return coll::build_tree(0, members, arity, coll::Topology{});
+}
+
 TEST(TreeShape, HeapChildrenAreDeterministic) {
   // 7 members, arity 2: children(p) = {2p+1, 2p+2} clipped to 7.
-  EXPECT_EQ(coll::tree_children(0, 7, 2), (std::vector<int>{1, 2}));
-  EXPECT_EQ(coll::tree_children(1, 7, 2), (std::vector<int>{3, 4}));
-  EXPECT_EQ(coll::tree_children(3, 7, 2), (std::vector<int>{7}));
-  EXPECT_TRUE(coll::tree_children(4, 7, 2).empty());
+  const auto h7 = heap(7, 2);
+  EXPECT_EQ(h7.children[0], (std::vector<int>{1, 2}));
+  EXPECT_EQ(h7.children[1], (std::vector<int>{3, 4}));
+  EXPECT_EQ(h7.children[3], (std::vector<int>{7}));
+  EXPECT_TRUE(h7.children[4].empty());
   // 15 members, arity 4: two full levels.
-  EXPECT_EQ(coll::tree_children(0, 15, 4), (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(coll::tree_children(1, 15, 4), (std::vector<int>{5, 6, 7, 8}));
-  EXPECT_EQ(coll::tree_children(3, 15, 4), (std::vector<int>{13, 14, 15}));
-  EXPECT_TRUE(coll::tree_children(5, 15, 4).empty());
+  const auto h15 = heap(15, 4);
+  EXPECT_EQ(h15.children[0], (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(h15.children[1], (std::vector<int>{5, 6, 7, 8}));
+  EXPECT_EQ(h15.children[3], (std::vector<int>{13, 14, 15}));
+  EXPECT_TRUE(h15.children[5].empty());
 }
 
-TEST(TreeShape, DepthIsLogarithmic) {
-  EXPECT_EQ(coll::tree_depth(0, 2), 0);
-  EXPECT_EQ(coll::tree_depth(3, 4), 1);   // M <= k: one flat level
-  EXPECT_EQ(coll::tree_depth(7, 2), 3);
-  EXPECT_EQ(coll::tree_depth(15, 4), 2);
-  EXPECT_EQ(coll::tree_depth(15, 2), 4);
-  // Flat routing (arity >= M) is always depth 1.
-  EXPECT_EQ(coll::tree_depth(63, 63), 1);
-}
-
-TEST(TreeShape, ChildSubtreesPartitionTheMembers) {
-  for (const int arity : {2, 4}) {
-    for (const int n : {1, 3, 7, 15, 22, 64}) {
-      std::vector<int> seen;
-      for (int c : coll::tree_children(0, n, arity)) {
-        const auto sub = coll::tree_subtree(c, n, arity);
-        EXPECT_EQ(static_cast<int>(sub.size()), coll::tree_subtree_size(c, n, arity));
-        seen.insert(seen.end(), sub.begin(), sub.end());
-      }
-      std::sort(seen.begin(), seen.end());
-      std::vector<int> all;
-      for (int p = 1; p <= n; ++p) all.push_back(p);
-      EXPECT_EQ(seen, all) << "n=" << n << " arity=" << arity;
-      EXPECT_EQ(coll::tree_subtree_size(0, n, arity), n);
-    }
+TEST(TreeShape, StarHangsEveryMemberUnderTheRootInOrder) {
+  // The flat pattern: members keep their given order, a rank may repeat
+  // (one member per key), and no member forwards.
+  const auto s = coll::star(2, {0, 1, 1, 3});
+  EXPECT_EQ(s.ranks, (std::vector<int>{2, 0, 1, 1, 3}));
+  EXPECT_EQ(s.children[0], (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(s.parent, (std::vector<int>{-1, 0, 0, 0, 0}));
+  for (int p = 1; p <= s.nmembers(); ++p) {
+    EXPECT_TRUE(s.children[static_cast<std::size_t>(p)].empty());
+    EXPECT_EQ(coll::shape_subtree(s, p), (std::vector<int>{p}));
   }
 }
 

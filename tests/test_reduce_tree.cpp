@@ -1,5 +1,5 @@
 // Tests of tree-routed streaming reductions: the topology-aware tree
-// layout (build_tree / layout_members), the adaptive arity hook, the
+// layout (build_tree), the adaptive arity hook, the
 // count-then-collect reduction protocol (counts with set_argstream_size,
 // gate-triggered finalize, owner in-degree, partial conservation),
 // degeneracy to the flat path, determinism of non-commutative reducers,
@@ -51,7 +51,12 @@ TEST(Topology, NodeMappingFollowsBlockPlacement) {
 
 TEST(TreeLayout, TrivialTopologyMatchesTheHeapShape) {
   // With every rank on its own node, build_tree must reproduce the pure
-  // heap used by the broadcast plane: children(p) == tree_children(p).
+  // position heap: the children of p are k*p+1 .. k*p+k, clipped to M.
+  const auto heap_children = [](int p, int nmembers, int arity) {
+    std::vector<int> out;
+    for (int c = p * arity + 1; c <= p * arity + arity && c <= nmembers; ++c) out.push_back(c);
+    return out;
+  };
   std::vector<int> members;
   for (int r = 1; r <= 15; ++r) members.push_back(r);
   for (const int arity : {2, 4}) {
@@ -59,8 +64,7 @@ TEST(TreeLayout, TrivialTopologyMatchesTheHeapShape) {
     ASSERT_EQ(shape.nmembers(), 15);
     for (int p = 0; p <= 15; ++p) {
       EXPECT_EQ(shape.ranks[static_cast<std::size_t>(p)], p);  // layout order = rank order
-      EXPECT_EQ(shape.children[static_cast<std::size_t>(p)],
-                coll::tree_children(p, 15, arity))
+      EXPECT_EQ(shape.children[static_cast<std::size_t>(p)], heap_children(p, 15, arity))
           << "pos=" << p << " arity=" << arity;
       for (int c : shape.children[static_cast<std::size_t>(p)])
         EXPECT_EQ(shape.parent[static_cast<std::size_t>(c)], p);

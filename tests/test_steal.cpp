@@ -40,27 +40,40 @@ struct Golden {
   std::uint64_t splitmd_sends;
   std::uint64_t tasks;
   double checksum;
+  std::uint64_t reduce_forwards;
+  std::uint64_t reduce_combines;
 };
 
-// Captured by running the exact configurations below on the single-queue
-// scheduler as of the commit before the deque substrate landed.
+// The first eight rows were captured by running the exact configurations
+// below on the single-queue scheduler as of the commit before the deque
+// substrate landed. The last four pin send paths those rows do not reach
+// (per-dependence sends, remote stream control, tree-reduced streams); they
+// were captured on the runtime that still had separate flat senders.
 constexpr Golden kGolden[] = {
     {"potrf", "parsec", 0.011019046033279654, 0ull, 38ull, 56ull,
-     5341.2622308796535},
+     5341.2622308796535, 0ull, 0ull},
     {"fw", "parsec", 0.010114634948240147, 0ull, 128ull, 512ull,
-     25938.648754752114},
+     25938.648754752114, 0ull, 0ull},
     {"bspmm", "parsec", 0.0014136615217391184, 847ull, 1640ull, 18586ull,
-     3.0506868746361206},
+     3.0506868746361206, 0ull, 0ull},
     {"mra", "parsec", 0.00034552836521739105, 1367ull, 352ull, 6272ull,
-     6.0620249749848053e-06},
+     6.0620249749848053e-06, 236ull, 236ull},
     {"potrf", "madness", 0.012440797165861498, 38ull, 0ull, 56ull,
-     5341.2622308796535},
+     5341.2622308796535, 0ull, 0ull},
     {"fw", "madness", 0.011743691938095222, 128ull, 0ull, 512ull,
-     25938.648754752114},
+     25938.648754752114, 0ull, 0ull},
     {"bspmm", "madness", 0.0038405752449275398, 2487ull, 0ull, 18586ull,
-     3.0506868746361206},
+     3.0506868746361206, 0ull, 0ull},
     {"mra", "madness", 0.00050195266086956421, 1064ull, 0ull, 6272ull,
-     6.0620249749848036e-06},
+     6.0620249749848036e-06, 0ull, 0ull},
+    {"potrf-perdep", "parsec", 0.001460211145464305, 0ull, 49ull, 56ull,
+     2670.591430021097, 0ull, 0ull},
+    {"potrf-perdep", "madness", 0.0019556391471819631, 49ull, 0ull, 56ull,
+     2670.591430021097, 0ull, 0ull},
+    {"reduce-setsize", "parsec", 1.8265742351046701e-05, 42ull, 0ull, 11ull, 108.0,
+     8ull, 8ull},
+    {"reduce-finalize", "parsec", 2.7986469082125613e-05, 70ull, 0ull, 12ull, 108.0,
+     16ull, 16ull},
 };
 
 const Golden& golden(const std::string& app, rt::BackendKind b) {
@@ -70,14 +83,16 @@ const Golden& golden(const std::string& app, rt::BackendKind b) {
   return kGolden[0];
 }
 
-void expect_golden(const Golden& g, double makespan, std::uint64_t messages,
-                   std::uint64_t splitmd, std::uint64_t tasks, double checksum) {
+void expect_golden(const Golden& g, double makespan, const rt::CommStats& cs,
+                   std::uint64_t tasks, double checksum) {
   // Bit-identical, not near: steal=off must BE the old scheduler.
   EXPECT_EQ(makespan, g.makespan) << g.app << "/" << g.backend;
-  EXPECT_EQ(messages, g.messages) << g.app << "/" << g.backend;
-  EXPECT_EQ(splitmd, g.splitmd_sends) << g.app << "/" << g.backend;
+  EXPECT_EQ(cs.messages, g.messages) << g.app << "/" << g.backend;
+  EXPECT_EQ(cs.splitmd_sends, g.splitmd_sends) << g.app << "/" << g.backend;
   EXPECT_EQ(tasks, g.tasks) << g.app << "/" << g.backend;
   EXPECT_EQ(checksum, g.checksum) << g.app << "/" << g.backend;
+  EXPECT_EQ(cs.reduce_forwards, g.reduce_forwards) << g.app << "/" << g.backend;
+  EXPECT_EQ(cs.reduce_combines, g.reduce_combines) << g.app << "/" << g.backend;
 }
 
 TEST(StealEquiv, PotrfOffMatchesPreRefactorGolden) {
@@ -92,8 +107,7 @@ TEST(StealEquiv, PotrfOffMatchesPreRefactorGolden) {
     double cs = 0.0;
     for (int m = 0; m < res.matrix.ntiles(); ++m)
       for (int n = 0; n <= m; ++n) cs += res.matrix.tile(m, n).norm();
-    expect_golden(golden("potrf", b), res.makespan, world.comm().stats().messages,
-                  world.comm().stats().splitmd_sends, res.tasks, cs);
+    expect_golden(golden("potrf", b), res.makespan, world.comm().stats(), res.tasks, cs);
   }
 }
 
@@ -110,8 +124,7 @@ TEST(StealEquiv, FwOffMatchesPreRefactorGolden) {
     for (int i = 0; i < res.matrix.ntiles(); ++i)
       for (int j = 0; j < res.matrix.ntiles(); ++j)
         cs += res.matrix.tile(i, j).norm();
-    expect_golden(golden("fw", b), res.makespan, world.comm().stats().messages,
-                  world.comm().stats().splitmd_sends, res.tasks, cs);
+    expect_golden(golden("fw", b), res.makespan, world.comm().stats(), res.tasks, cs);
   }
 }
 
@@ -136,8 +149,7 @@ TEST(StealEquiv, BspmmOffMatchesPreRefactorGolden) {
     auto res = apps::bspmm::run(world, a, a, {});
     double cs = 0.0;
     for (auto [i, j] : res.c.nonzeros()) cs += res.c.at(i, j).norm();
-    expect_golden(golden("bspmm", b), res.makespan, world.comm().stats().messages,
-                  world.comm().stats().splitmd_sends, res.tasks, cs);
+    expect_golden(golden("bspmm", b), res.makespan, world.comm().stats(), res.tasks, cs);
   }
 }
 
@@ -156,9 +168,92 @@ TEST(StealEquiv, MraOffMatchesPreRefactorGolden) {
     double cs = 0.0;
     for (const auto& [fid, n2] : res.norm2_compressed) cs += n2;
     for (const auto& [fid, n2] : res.norm2_reconstructed) cs += n2;
-    expect_golden(golden("mra", b), res.makespan, world.comm().stats().messages,
-                  world.comm().stats().splitmd_sends, res.tasks, cs);
+    expect_golden(golden("mra", b), res.makespan, world.comm().stats(), res.tasks, cs);
   }
+}
+
+// Per-dependence sends: with optimized_broadcast off, every key of a
+// broadcast is its own remote message (the ablation / Chameleon profile).
+TEST(StealEquiv, PotrfPerDependenceMatchesGolden) {
+  for (auto b : {rt::BackendKind::Parsec, rt::BackendKind::Madness}) {
+    support::Rng rng(5);
+    auto a = linalg::random_spd(rng, 768, 128);
+    rt::WorldConfig cfg;
+    cfg.nranks = 4;
+    cfg.backend = b;
+    cfg.optimized_broadcast = false;
+    rt::World world(cfg);
+    auto res = apps::cholesky::run(world, a);
+    double cs = 0.0;
+    for (int m = 0; m < res.matrix.ntiles(); ++m)
+      for (int n = 0; n <= m; ++n) cs += res.matrix.tile(m, n).norm();
+    expect_golden(golden("potrf-perdep", b), res.makespan, world.comm().stats(),
+                  res.tasks, cs);
+  }
+}
+
+/// A tree-reduced stream on 9 PaRSEC ranks (8 contributors exceed the
+/// reduce arity of 4): every rank streams two values into one key owned by
+/// rank 3, and rank 5 completes the stream remotely — by ttg::set_size, or
+/// by ttg::finalize from a gate that has seen every producer. Both control
+/// messages travel as stream-control AMs; the partials climb the tree.
+void expect_reduce_stream_golden(const char* app, bool finalize) {
+  constexpr int kOwner = 3;
+  constexpr int kCloser = 5;
+  rt::WorldConfig cfg;
+  cfg.nranks = 9;
+  rt::World w(cfg);
+  const int nranks = cfg.nranks;
+  Edge<Int1, Void> start("start"), gate_e("gate");
+  Edge<Int1, double> stream("stream"), out_e("out");
+  auto prod = make_tt(
+      w,
+      [finalize, nranks](const Int1& k, Void&,
+                         std::tuple<Out<Int1, double>, Out<Int1, Void>>& out) {
+        if (!finalize && k.i == kCloser) ttg::set_size<0>(Int1{0}, 2 * nranks, out);
+        for (int i = 0; i < 2; ++i) ttg::send<0>(Int1{0}, 0.5 + 1.25 * k.i + i, out);
+        if (finalize) ttg::send<1>(Int1{0}, Void{}, out);
+      },
+      edges(start), edges(stream, gate_e), "produce");
+  prod->set_keymap([](const Int1& k) { return k.i; });
+  auto gate = make_tt(
+      w,
+      [](const Int1& k, Void&, std::tuple<Out<Int1, double>>& out) {
+        ttg::finalize<0>(k, out);
+      },
+      edges(gate_e), edges(stream), "gate");
+  gate->set_input_reducer<0>([](Void&, Void&&) {}, nranks);
+  gate->set_keymap([](const Int1&) { return kCloser; });
+  auto red = make_tt(
+      w,
+      [](const Int1& k, double& sum, std::tuple<Out<Int1, double>>& out) {
+        ttg::send<0>(k, sum, out);
+      },
+      edges(stream), edges(out_e), "reduce");
+  red->set_input_reducer<0>([](double& acc, double&& v) { acc += v; });
+  red->set_keymap([](const Int1&) { return kOwner; });
+  double result = 0.0;
+  auto sink = make_sink(w, out_e, [&](const Int1&, double& v) { result = v; });
+  sink->set_keymap([](const Int1&) { return 0; });
+  make_graph_executable(*prod);
+  make_graph_executable(*gate);
+  make_graph_executable(*red);
+  make_graph_executable(*sink);
+  for (int r = 0; r < nranks; ++r) prod->invoke(Int1{r}, Void{});
+  const double makespan = w.fence();
+  EXPECT_EQ(w.unfinished(), 0u);
+  const std::uint64_t tasks = prod->tasks_executed() + gate->tasks_executed() +
+                              red->tasks_executed() + sink->tasks_executed();
+  expect_golden(golden(app, rt::BackendKind::Parsec), makespan, w.comm().stats(), tasks,
+                result);
+}
+
+TEST(StealEquiv, TreeReduceSizedByRemoteSetSizeMatchesGolden) {
+  expect_reduce_stream_golden("reduce-setsize", /*finalize=*/false);
+}
+
+TEST(StealEquiv, TreeReduceClosedByRemoteFinalizeMatchesGolden) {
+  expect_reduce_stream_golden("reduce-finalize", /*finalize=*/true);
 }
 
 // The off-mode pop order itself, pinned directly: priority desc, FIFO ties —

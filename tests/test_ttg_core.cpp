@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "linalg/tile.hpp"
@@ -435,6 +436,36 @@ TEST(TtgCoreDeath, InvariantFailureNamesTtKeyAndRank) {
 #endif
   EXPECT_DEATH(trigger_stream_size_below_received(),
                "TT 'shrink', key \\(7\\), rank [0-9]+: stream size 2 below");
+}
+
+/// Rank 0 forwards one value to a sink whose keymap names rank `bad` of a
+/// two-rank world.
+void send_to_out_of_range_owner(int bad) {
+  World w(cfg(2));
+  Edge<Int1, int> in("in"), out_e("out");
+  auto tt = make_tt(
+      w, [](const Int1& k, int& v, std::tuple<Out<Int1, int>>& out) { ttg::send<0>(k, v, out); },
+      edges(in), edges(out_e), "fwd");
+  tt->set_keymap([](const Int1&) { return 0; });
+  auto sink = make_sink(w, out_e, [](const Int1&, int&) {}, "lost");
+  sink->set_keymap([bad](const Int1&) { return bad; });
+  make_graph_executable(*tt);
+  make_graph_executable(*sink);
+  tt->invoke(Int1{4}, 1);
+  w.fence();
+}
+
+TEST(TtgCoreDeath, OutOfRangeKeymapNamesTtKeyRankAndValue) {
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+  for (const int bad : {2, 9, -1}) {
+    const std::string expected = "TT 'lost', key \\(4\\), rank 0: keymap returned rank " +
+                                 std::to_string(bad) + ", outside \\[0, 2\\)";
+    EXPECT_DEATH(send_to_out_of_range_owner(bad), expected.c_str());
+  }
 }
 
 TEST(TtgCoreDeath, FenceRequiresExecutable) {
