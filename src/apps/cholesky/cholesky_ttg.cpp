@@ -27,15 +27,17 @@ rt::DeviceDatum tile_datum(int i, int j, const Tile& t, bool write) {
   return d;
 }
 
-/// Shared graph construction: the input matrix is abstracted as a tile
-/// source so callers can feed either a materialized TiledMatrix or
-/// on-demand ghost synthesis (run_ghost) through the identical task graph.
-Result run_impl(rt::World& world, int n, int bs,
-                const std::function<Tile(int, int)>& tile_src, const Options& opt) {
-  const int nt = (n + bs - 1) / bs;
+int tile_count(int n, int bs) {
+  TTG_REQUIRE(n > 0 && bs > 0, "cholesky graph needs n > 0 and block > 0");
+  return (n + bs - 1) / bs;
+}
+
+}  // namespace
+
+Graph::Graph(rt::World& world, int n, int bs, const Options& opt, Sink sink)
+    : world_(world), nt_(tile_count(n, bs)), sink_(std::move(sink)) {
+  const int nt = nt_;
   const auto& machine = world.machine();
-  const Keymap2D dist =
-      make_keymap2d(opt.keymap, world.nranks(), world.config().ranks_per_node);
 
   /* Edges, named as in Listing 1. Key types encode what the paper calls
      1-, 2-, and 3-tuple task IDs. */
@@ -118,20 +120,31 @@ Result run_impl(rt::World& world, int n, int bs,
   auto gemm_tt = make_tt(world, gemm_fn, edges(trsm_gemm_row, trsm_gemm_col, to_gemm),
                          edges(to_trsm, to_gemm), "GEMM");
 
-  /* RESULT: write back the factor tiles (stays on the owning rank, as in
+  /* RESULT: hand the factor tiles to the sink (on the owning rank, as in
      the paper's distributed write-back). */
-  TiledMatrix l_out;
-  if (opt.collect) l_out = TiledMatrix(n, bs, /*allocate=*/false);
-  auto result_tt = make_sink(world, result, [&](const Int2& key, Tile& t) {
-    if (opt.collect) l_out.tile(key.i, key.j) = std::move(t);
-  });
+  auto result_tt = make_sink(
+      world, result, [this](const Int2& key, Tile& t) { sink_(key, t); }, "RESULT");
 
-  /* Process maps: tasks run where the tile they write lives. */
-  potrf_tt->set_keymap([dist](const Int1& k) { return dist.owner(k.i, k.i); });
-  trsm_tt->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
-  syrk_tt->set_keymap([dist](const Int2& k) { return dist.owner(k.j, k.j); });
-  gemm_tt->set_keymap([dist](const Int3& k) { return dist.owner(k.i, k.j); });
-  result_tt->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
+  /* INITIATOR: inject every tile of the lower triangle on its owner rank.
+     "The INITIATOR operation is responsible for providing input to tasks
+     that have no direct predecessor in the algorithm." (Fig. 1.) */
+  auto init_fn = [this](const Int2& key,
+                        std::tuple<Out<Int1, Tile>, Out<Int2, Tile>, Out<Int2, Tile>,
+                                   Out<Int3, Tile>>& out) {
+    const auto [m, n] = key;
+    Tile t = src_(m, n);
+    if (m == 0 && n == 0) {
+      ttg::send<0>(Int1{0}, std::move(t), out);  // POTRF(0)
+    } else if (m == n) {
+      ttg::send<2>(Int2{0, m}, std::move(t), out);  // SYRK chain start
+    } else if (n == 0) {
+      ttg::send<1>(Int2{m, 0}, std::move(t), out);  // TRSM(m,0)
+    } else {
+      ttg::send<3>(Int3{m, n, 0}, std::move(t), out);  // GEMM chain start
+    }
+  };
+  auto init_tt = make_tt<Int2>(world, init_fn, std::tuple<>{},
+                               edges(to_potrf, to_trsm, to_syrk, to_gemm), "INITIATOR");
 
   /* Priority map: drive the critical path — factor and solve panels of
      early iterations before trailing updates (lookahead). */
@@ -191,38 +204,66 @@ Result run_impl(rt::World& world, int n, int bs,
     });
   }
 
-  make_graph_executable(*potrf_tt);
-  make_graph_executable(*trsm_tt);
-  make_graph_executable(*syrk_tt);
-  make_graph_executable(*gemm_tt);
-  make_graph_executable(*result_tt);
-
-  /* INITIATOR: inject every tile of the lower triangle on its owner rank.
-     "The INITIATOR operation is responsible for providing input to tasks
-     that have no direct predecessor in the algorithm." (Fig. 1.) */
-  auto init_fn = [&tile_src](const Int2& key,
-                             std::tuple<Out<Int1, Tile>, Out<Int2, Tile>,
-                                        Out<Int2, Tile>, Out<Int3, Tile>>& out) {
-    const auto [m, n] = key;
-    Tile t = tile_src(m, n);
-    if (m == 0 && n == 0) {
-      ttg::send<0>(Int1{0}, std::move(t), out);  // POTRF(0)
-    } else if (m == n) {
-      ttg::send<2>(Int2{0, m}, std::move(t), out);  // SYRK chain start
-    } else if (n == 0) {
-      ttg::send<1>(Int2{m, 0}, std::move(t), out);  // TRSM(m,0)
-    } else {
-      ttg::send<3>(Int3{m, n, 0}, std::move(t), out);  // GEMM chain start
-    }
+  /* Process maps: tasks run where the tile they write lives. */
+  place_ = [potrf = potrf_tt.get(), trsm = trsm_tt.get(), syrk = syrk_tt.get(),
+            gemm = gemm_tt.get(), res = result_tt.get(),
+            init = init_tt.get()](const Keymap2D& dist) {
+    potrf->set_keymap([dist](const Int1& k) { return dist.owner(k.i, k.i); });
+    trsm->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
+    syrk->set_keymap([dist](const Int2& k) { return dist.owner(k.j, k.j); });
+    gemm->set_keymap([dist](const Int3& k) { return dist.owner(k.i, k.j); });
+    res->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
+    init->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
   };
-  auto init_tt = make_tt<Int2>(world, init_fn, std::tuple<>{},
-                               edges(to_potrf, to_trsm, to_syrk, to_gemm), "INITIATOR");
-  init_tt->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
-  make_graph_executable(*init_tt);
+  place(opt.keymap);
+  initiate_ = [init = init_tt.get()](const Int2& key) { init->invoke(key); };
+
+  std::unique_ptr<rt::TTBase> all[] = {std::move(potrf_tt), std::move(trsm_tt),
+                                       std::move(syrk_tt),  std::move(gemm_tt),
+                                       std::move(result_tt), std::move(init_tt)};
+  for (auto& tt : all) {
+    make_graph_executable(*tt);
+    tts_.push_back(std::move(tt));
+  }
+}
+
+void Graph::inject(TileSource src) {
+  src_ = std::move(src);
+  for (int m = 0; m < nt_; ++m)
+    for (int n = 0; n <= m; ++n) initiate_(Int2{m, n});
+}
+
+void Graph::place(KeymapKind kind) {
+  place_(make_keymap2d(kind, world_.nranks(), world_.config().ranks_per_node));
+}
+
+std::uint64_t Graph::tasks_executed() const {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < 4; ++i) n += tts_[i]->tasks_executed();  // POTRF..GEMM
+  return n;
+}
+
+std::vector<rt::TTBase*> Graph::tts() const {
+  std::vector<rt::TTBase*> v;
+  for (const auto& tt : tts_) v.push_back(tt.get());
+  return v;
+}
+
+namespace {
+
+/// Shared driver: the input matrix is abstracted as a tile source so callers
+/// can feed either a materialized TiledMatrix or on-demand ghost synthesis
+/// (run_ghost) through the identical task graph.
+Result run_impl(rt::World& world, int n, int bs, Graph::TileSource tile_src,
+                const Options& opt) {
+  TiledMatrix l_out;
+  if (opt.collect) l_out = TiledMatrix(n, bs, /*allocate=*/false);
+  Graph graph(world, n, bs, opt, [&](const Int2& key, Tile& t) {
+    if (opt.collect) l_out.tile(key.i, key.j) = std::move(t);
+  });
 
   const double t0 = world.engine().now();
-  for (int m = 0; m < nt; ++m)
-    for (int n = 0; n <= m; ++n) init_tt->invoke(Int2{m, n});
+  graph.inject(std::move(tile_src));
   const double t1 = world.fence();
 
   TTG_CHECK(world.unfinished() == 0, "cholesky graph did not quiesce");
@@ -230,8 +271,7 @@ Result run_impl(rt::World& world, int n, int bs,
   Result res;
   res.makespan = t1 - t0;
   res.gflops = flop_count(n) / res.makespan / 1e9;
-  res.tasks = potrf_tt->tasks_executed() + trsm_tt->tasks_executed() +
-              syrk_tt->tasks_executed() + gemm_tt->tasks_executed();
+  res.tasks = graph.tasks_executed();
   res.matrix = std::move(l_out);
   return res;
 }

@@ -37,14 +37,17 @@ void route_tile(int i, int j, int k, int nt, Tile&& t, OutTuple& out) {
   }
 }
 
+int tile_count(int n, int bs) {
+  TTG_REQUIRE(n > 0 && bs > 0, "FW graph needs n > 0 and block > 0");
+  return (n + bs - 1) / bs;
+}
+
 }  // namespace
 
-Result run(rt::World& world, const TiledMatrix& w0, const Options& opt) {
-  const int nt = w0.ntiles();
-  const int bs = w0.block();
+Graph::Graph(rt::World& world, int n, int bs, const Options& opt, Sink sink)
+    : world_(world), nt_(tile_count(n, bs)), sink_(std::move(sink)) {
+  const int nt = nt_;
   const auto& machine = world.machine();
-  const Keymap2D dist =
-      make_keymap2d(opt.keymap, world.nranks(), world.config().ranks_per_node);
 
   // Tile chains into each kernel type + finished-panel broadcast edges.
   Edge<Int1, Tile> to_a("to_a");
@@ -129,11 +132,6 @@ Result run(rt::World& world, const TiledMatrix& w0, const Options& opt) {
   auto d_tt = make_tt(world, d_fn, edges(b_to_d, c_to_d, to_d),
                       edges(to_a, to_b, to_c, to_d, result), "FW_D");
 
-  a_tt->set_keymap([dist](const Int1& k) { return dist.owner(k.i, k.i); });
-  b_tt->set_keymap([dist](const Int2& k) { return dist.owner(k.j, k.i); });
-  c_tt->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
-  d_tt->set_keymap([dist](const Int3& k) { return dist.owner(k.i, k.j); });
-
   // Earlier rounds first; panels ahead of interior updates.
   a_tt->set_priomap([nt](const Int1& k) { return 3 * (nt - k.i); });
   b_tt->set_priomap([nt](const Int2& k) { return 2 * (nt - k.j); });
@@ -155,40 +153,77 @@ Result run(rt::World& world, const TiledMatrix& w0, const Options& opt) {
         return graph::fw_time(machine, w.rows(), w.cols(), r.rows());
       });
 
-  TiledMatrix w_out;
-  if (opt.collect) w_out = TiledMatrix(w0.n(), bs, /*allocate=*/false);
-  auto result_tt = make_sink(world, result, [&](const Int2& key, Tile& t) {
-    if (opt.collect) w_out.tile(key.i, key.j) = std::move(t);
-  });
-  result_tt->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
-
-  make_graph_executable(*a_tt);
-  make_graph_executable(*b_tt);
-  make_graph_executable(*c_tt);
-  make_graph_executable(*d_tt);
-  make_graph_executable(*result_tt);
+  auto result_tt = make_sink(
+      world, result, [this](const Int2& key, Tile& t) { sink_(key, t); }, "RESULT");
 
   /* INITIATOR: route every tile into round 0 on its owner. */
-  auto init_fn = [&w0, nt](const Int2& key, Out5& out) {
-    Tile t = w0.tile(key.i, key.j);
+  auto init_fn = [this, nt](const Int2& key, Out5& out) {
+    Tile t = src_(key.i, key.j);
     route_tile(key.i, key.j, 0, nt, std::move(t), out);
   };
   auto init_tt = make_tt<Int2>(world, init_fn, std::tuple<>{},
                                edges(to_a, to_b, to_c, to_d, result), "INITIATOR");
-  init_tt->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
-  make_graph_executable(*init_tt);
+
+  /* Process maps: each kernel runs where the tile it updates lives. */
+  place_ = [a = a_tt.get(), b = b_tt.get(), c = c_tt.get(), d = d_tt.get(),
+            res = result_tt.get(), init = init_tt.get()](const Keymap2D& dist) {
+    a->set_keymap([dist](const Int1& k) { return dist.owner(k.i, k.i); });
+    b->set_keymap([dist](const Int2& k) { return dist.owner(k.j, k.i); });
+    c->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
+    d->set_keymap([dist](const Int3& k) { return dist.owner(k.i, k.j); });
+    res->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
+    init->set_keymap([dist](const Int2& k) { return dist.owner(k.i, k.j); });
+  };
+  place(opt.keymap);
+  initiate_ = [init = init_tt.get()](const Int2& key) { init->invoke(key); };
+
+  std::unique_ptr<rt::TTBase> all[] = {std::move(a_tt),      std::move(b_tt),
+                                       std::move(c_tt),      std::move(d_tt),
+                                       std::move(result_tt), std::move(init_tt)};
+  for (auto& tt : all) {
+    make_graph_executable(*tt);
+    tts_.push_back(std::move(tt));
+  }
+}
+
+void Graph::inject(TileSource src) {
+  src_ = std::move(src);
+  for (int i = 0; i < nt_; ++i)
+    for (int j = 0; j < nt_; ++j) initiate_(Int2{i, j});
+}
+
+void Graph::place(KeymapKind kind) {
+  place_(make_keymap2d(kind, world_.nranks(), world_.config().ranks_per_node));
+}
+
+std::uint64_t Graph::tasks_executed() const {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < 4; ++i) n += tts_[i]->tasks_executed();  // FW_A..FW_D
+  return n;
+}
+
+std::vector<rt::TTBase*> Graph::tts() const {
+  std::vector<rt::TTBase*> v;
+  for (const auto& tt : tts_) v.push_back(tt.get());
+  return v;
+}
+
+Result run(rt::World& world, const TiledMatrix& w0, const Options& opt) {
+  TiledMatrix w_out;
+  if (opt.collect) w_out = TiledMatrix(w0.n(), w0.block(), /*allocate=*/false);
+  Graph graph(world, w0.n(), w0.block(), opt, [&](const Int2& key, Tile& t) {
+    if (opt.collect) w_out.tile(key.i, key.j) = std::move(t);
+  });
 
   const double t0 = world.engine().now();
-  for (int i = 0; i < nt; ++i)
-    for (int j = 0; j < nt; ++j) init_tt->invoke(Int2{i, j});
+  graph.inject([&w0](int i, int j) { return w0.tile(i, j); });
   const double t1 = world.fence();
   TTG_CHECK(world.unfinished() == 0, "FW graph did not quiesce");
 
   Result res;
   res.makespan = t1 - t0;
   res.gflops = op_count(w0.n()) / res.makespan / 1e9;
-  res.tasks = a_tt->tasks_executed() + b_tt->tasks_executed() +
-              c_tt->tasks_executed() + d_tt->tasks_executed();
+  res.tasks = graph.tasks_executed();
   res.matrix = std::move(w_out);
   return res;
 }

@@ -1,15 +1,15 @@
 // Serving-mode job graphs: reusable, restartable template-graph instances
 // for the multi-tenant JobManager (ROADMAP serving mode).
 //
-// Each JobGraph wraps one compiled TTG DAG — the same TT wiring as the
-// standalone apps (apps/cholesky, apps/fw_apsp) or a compact block-sparse
-// matmul with a streaming reduction — but built once against a World and
-// then *restarted* per job: start(seed) generates that job's input data and
-// injects it through the graph's INITIATOR; completion is detected by the
-// RESULT sink counting arrivals (no fence needed, so many jobs can be in
-// flight in one engine run). Instances plug into rt::GraphCache through
-// mutation_count(): a job whose GraphKey matches a pooled, unmutated
-// instance reuses it instead of rebuilding the TT wiring.
+// Each JobGraph wraps one compiled TTG DAG — the apps' own restartable
+// graph handles (apps::cholesky::Graph, apps::fw::Graph) or a compact
+// block-sparse matmul with a streaming reduction — built once against a
+// World and then *restarted* per job: start(seed) generates that job's
+// input data and injects it through the graph's INITIATOR; completion is
+// detected by the RESULT sink counting arrivals (no fence needed, so many
+// jobs can be in flight in one engine run). Instances plug into
+// rt::GraphCache through mutation_count(): a job whose GraphKey matches a
+// pooled, unmutated instance reuses it instead of rebuilding the TT wiring.
 #pragma once
 
 #include <cstdint>
@@ -60,29 +60,13 @@ class JobGraph {
   /// RESULT arrivals the active run still waits for (0 = idle/complete).
   [[nodiscard]] bool running() const { return running_; }
 
-  /// Cumulative task bodies executed by this instance across all runs.
-  [[nodiscard]] std::uint64_t tasks_executed() const {
-    std::uint64_t n = 0;
-    for (const rt::TTBase* tt : tts_) n += tt->tasks_executed();
-    return n;
-  }
-
-  /// Re-apply a (behaviorally identical) keymap to one TT, bumping its
-  /// mutation counter: models post-caching graph surgery so tests can
-  /// assert GraphCache eviction.
-  void mutate_for_test() {
-    TTG_CHECK(mutate_ != nullptr, "graph has no mutate hook");
-    mutate_();
-  }
-
   /// Switch the placement keymap of every TT in the wiring (the serving
-  /// analogue of the apps' --keymap knob). Each set_keymap bumps that TT's
-  /// mutation counter, so a pooled instance rekeyed after release is stale
-  /// and the next same-key acquire evicts and rebuilds it.
-  void apply_keymap(KeymapKind kind) {
-    TTG_CHECK(rekey_ != nullptr,
-              "job graph '" + key_.kind + "' has no keymap hook");
-    rekey_(kind);
+  /// analogue of the apps' --keymap knob): POTRF and FW jobs call their app
+  /// graph's place(). Each set_keymap bumps that TT's mutation counter, so
+  /// a pooled instance rekeyed after release is stale and the next same-key
+  /// acquire evicts and rebuilds it. The bspmm graph has no keymap knob.
+  virtual void apply_keymap(KeymapKind /*kind*/) {
+    TTG_CHECK(false, "job graph '" + key_.kind + "' has no keymap hook");
   }
 
  protected:
@@ -111,9 +95,6 @@ class JobGraph {
 
   rt::GraphKey key_;
   std::vector<rt::TTBase*> tts_;   ///< every TT of the wiring (for counters)
-  std::vector<std::shared_ptr<void>> hold_;  ///< owns the typed TT objects
-  std::function<void()> mutate_;   ///< re-applies a keymap (test hook)
-  std::function<void(KeymapKind)> rekey_;  ///< switches the placement keymap
   ResultMap result_;
   int arrived_ = 0;
   int expected_ = 0;
@@ -122,8 +103,8 @@ class JobGraph {
 };
 
 /// Build a fresh graph instance for `key`:
-///   kind "potrf":  params = {n, block}   — tiled Cholesky (apps/cholesky DAG)
-///   kind "fw":     params = {n, block}   — Floyd-Warshall (apps/fw_apsp DAG)
+///   kind "potrf":  params = {n, block}   — tiled Cholesky (apps::cholesky::Graph)
+///   kind "fw":     params = {n, block}   — Floyd-Warshall (apps::fw::Graph)
 ///   kind "bspmm":  params = {nt, block, density_pct} — block-sparse matmul
 ///                  with a streaming tile_add reduction per output tile
 std::shared_ptr<JobGraph> make_graph(rt::World& world, const rt::GraphKey& key);

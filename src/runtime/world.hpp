@@ -156,23 +156,28 @@ class World {
   /// to its job without any per-call plumbing.
   [[nodiscard]] JobId current_job() const { return current_job_; }
 
-  /// Execute `fn` as rank `r` within job `j`, restoring both on exit: the
-  /// one scope through which code enters a rank and a job. Deferred engine
-  /// callbacks capture the job at issue time and re-enter it here. On a
-  /// sharded engine this also sets the ambient event lane to r's lane, so
-  /// engine pushes made by `fn` (task completions, send charges) land on the
-  /// lane that owns the rank without per-call plumbing.
+  /// Execute `fn` as rank `r` within job `j`, restoring both on exit, also
+  /// when `fn` throws: the one scope through which code enters a rank and a
+  /// job. Deferred engine callbacks capture the job at issue time and
+  /// re-enter it here. On a sharded engine this also sets the ambient event
+  /// lane to r's lane, so engine pushes made by `fn` (task completions, send
+  /// charges) land on the lane that owns the rank without per-call plumbing.
   template <typename F>
   void run_as(int r, JobId j, F&& fn) {
     TTG_CHECK(r >= 0 && r < nranks(), "rank out of range");
     sim::Engine::LaneScope lane(engine_, engine_.lane_of(r));
-    const int saved_rank = current_rank_;
-    const JobId saved_job = current_job_;
+    struct Restore {
+      World& w;
+      int rank;
+      JobId job;
+      ~Restore() {
+        w.current_rank_ = rank;
+        w.current_job_ = job;
+      }
+    } restore{*this, current_rank_, current_job_};
     current_rank_ = r;
     current_job_ = j;
     fn();
-    current_rank_ = saved_rank;
-    current_job_ = saved_job;
   }
   /// Execute `fn` as rank `r` within the current job.
   template <typename F>

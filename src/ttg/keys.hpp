@@ -10,6 +10,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 
 #include "support/hash.hpp"
@@ -59,14 +60,25 @@ struct Int3 {
   }
 };
 
-inline std::string to_string(const Void&) { return "()"; }
-inline std::string to_string(const Int1& k) { return "(" + std::to_string(k.i) + ")"; }
-inline std::string to_string(const Int2& k) {
-  return "(" + std::to_string(k.i) + "," + std::to_string(k.j) + ")";
+namespace detail {
+/// "(a,b,...)". Built by appending: GCC 12 at -O3 flags the equivalent
+/// `"(" + std::to_string(a) + ...` chain with false -Wrestrict warnings.
+inline std::string tuple_string(std::initializer_list<int> parts) {
+  std::string s = "(";
+  for (const int p : parts) {
+    if (s.size() > 1) s += ',';
+    s += std::to_string(p);
+  }
+  s += ')';
+  return s;
 }
+}  // namespace detail
+
+inline std::string to_string(const Void&) { return "()"; }
+inline std::string to_string(const Int1& k) { return detail::tuple_string({k.i}); }
+inline std::string to_string(const Int2& k) { return detail::tuple_string({k.i, k.j}); }
 inline std::string to_string(const Int3& k) {
-  return "(" + std::to_string(k.i) + "," + std::to_string(k.j) + "," +
-         std::to_string(k.k) + ")";
+  return detail::tuple_string({k.i, k.j, k.k});
 }
 
 namespace detail {

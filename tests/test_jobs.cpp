@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "apps/cholesky/cholesky_ttg.hpp"
+#include "apps/fw_apsp/fw_ttg.hpp"
 #include "apps/serve/job_graphs.hpp"
 #include "linalg/matrix_gen.hpp"
 #include "runtime/world.hpp"
@@ -212,7 +213,7 @@ TEST(GraphCache, CountsHitsMissesAndEvictions) {
 
   // Structure mutation after caching invalidates the pooled entry.
   apps::serve::release_graph(world, g3);
-  g3->mutate_for_test();  // set_keymap bumps the TT mutation counter
+  g3->apply_keymap(KeymapKind::Cyclic);  // set_keymap bumps the mutation counters
   auto g4 = apps::serve::acquire_graph(world, key);
   EXPECT_EQ(cache.stats().evictions, 1u);
   EXPECT_EQ(cache.stats().misses, 3u);
@@ -238,7 +239,7 @@ TEST(GraphCache, CachedInstanceRunsBitIdenticalToRebuilt) {
         g->start(5, [&, id, g]() {
           results.push_back(g->result());
           apps::serve::release_graph(*world, g);
-          if (evict_between && jm.submitted() < 2) g->mutate_for_test();
+          if (evict_between && jm.submitted() < 2) g->apply_keymap(KeymapKind::Cyclic);
           jm.complete(id);
           if (jm.submitted() < 2) submit_one();
         });
@@ -434,40 +435,88 @@ TEST(Fairness, CapOnHeavyJobBoundsLightJobLatency) {
   EXPECT_LT(capped[1], capped[0]);
 }
 
+/// Summed GPU placements over every rank of `w`.
+std::uint64_t device_tasks(World& w) {
+  std::uint64_t n = 0;
+  for (int r = 0; r < w.nranks(); ++r) n += w.scheduler(r).device_stats().device_tasks;
+  return n;
+}
+
+/// Norms of the tiles an app run collected, keyed like a job's ResultMap:
+/// the lower triangle for POTRF, every tile for FW.
+ResultMap tile_norms(const linalg::TiledMatrix& m, bool lower) {
+  ResultMap out;
+  for (int i = 0; i < m.ntiles(); ++i)
+    for (int j = 0; j <= (lower ? i : m.ntiles() - 1); ++j) out[{i, j}] = m.tile(i, j).norm();
+  return out;
+}
+
 TEST(ServeJobs, SingleJobBitIdenticalToSingleDagPath) {
-  const int n = 512, bs = 128;
+  // Serving POTRF/FW jobs run the apps' own graph handles, and the
+  // multi-tenant path (job 1, per-job queues, ambient-job plumbing) adds
+  // zero events and zero charges: one job matches apps::*::run exactly in
+  // makespan, message counters, GPU placements and every output tile.
+  struct Row {
+    const char* kind;
+    int n;
+    BackendKind backend;
+    rt::DevicePlacement device = rt::DevicePlacement::Off;
+  };
+  const Row rows[] = {
+      {"potrf", 512, BackendKind::Parsec},
+      {"potrf", 512, BackendKind::Madness},
+      {"fw", 384, BackendKind::Parsec},
+      {"fw", 384, BackendKind::Madness},
+      {"potrf", 768, BackendKind::Parsec, rt::DevicePlacement::Always},
+  };
+  const int bs = 128;
   const std::uint64_t seed = 42;
-  for (const BackendKind b : {BackendKind::Parsec, BackendKind::Madness}) {
+  for (const Row& row : rows) {
+    const bool potrf = std::string(row.kind) == "potrf";
+    SCOPED_TRACE(std::string(row.kind) + " n=" + std::to_string(row.n) + " " +
+                 rt::to_string(row.backend));
     WorldConfig cfg;
     cfg.nranks = 4;
-    cfg.backend = b;
+    cfg.backend = row.backend;
+    cfg.device = row.device;
 
     World plain(cfg);
     support::Rng rng(seed);
-    const auto a = linalg::random_spd(rng, n, bs);
-    const auto res = apps::cholesky::run(plain, a, {});
+    double app_makespan = 0.0;
+    ResultMap app_norms;
+    if (potrf) {
+      const auto res = apps::cholesky::run(plain, linalg::random_spd(rng, row.n, bs));
+      app_makespan = res.makespan;
+      app_norms = tile_norms(res.matrix, /*lower=*/true);
+    } else {
+      const auto res = apps::fw::run(plain, linalg::random_adjacency(rng, row.n, bs));
+      app_makespan = res.makespan;
+      app_norms = tile_norms(res.matrix, /*lower=*/false);
+    }
 
     World serve(cfg);
-    auto& jm = serve.jobs();
-    const GraphKey key{"potrf", {n, bs, 0, 0}};
-    jm.submit(rt::JobSpec{"potrf", 1, 0}, [&serve, key, seed](rt::JobId id) {
-      auto g = apps::serve::acquire_graph(serve, key);
-      g->start(seed, [&serve, id, g]() {
-        apps::serve::release_graph(serve, g);
-        serve.jobs().complete(id);
-      });
-    });
+    ResultMap job_norms;
+    const GraphKey key{row.kind, {row.n, bs, 0, 0}};
+    serve.jobs().submit(rt::JobSpec{row.kind, 1, 0},
+                        [&serve, &job_norms, key, seed](rt::JobId id) {
+                          auto g = apps::serve::acquire_graph(serve, key);
+                          g->start(seed, [&serve, &job_norms, id, g]() {
+                            job_norms = g->result();
+                            apps::serve::release_graph(serve, g);
+                            serve.jobs().complete(id);
+                          });
+                        });
     const double makespan = serve.fence();
 
-    // The multi-tenant path (job 1, per-job queues, ambient-job plumbing)
-    // adds zero events and zero charges: makespan and every message
-    // counter match the historical single-DAG run exactly.
-    EXPECT_EQ(makespan, res.makespan) << rt::to_string(b);
+    EXPECT_EQ(makespan, app_makespan);
     EXPECT_EQ(serve.comm().stats().messages, plain.comm().stats().messages);
-    EXPECT_EQ(serve.comm().stats().splitmd_sends,
-              plain.comm().stats().splitmd_sends);
-    EXPECT_EQ(serve.comm().stats().serializations,
-              plain.comm().stats().serializations);
+    EXPECT_EQ(serve.comm().stats().splitmd_sends, plain.comm().stats().splitmd_sends);
+    EXPECT_EQ(serve.comm().stats().serializations, plain.comm().stats().serializations);
+    EXPECT_EQ(device_tasks(serve), device_tasks(plain));
+    if (row.device != rt::DevicePlacement::Off) {
+      EXPECT_GT(device_tasks(plain), 0u);
+    }
+    EXPECT_EQ(job_norms, app_norms);
   }
 }
 

@@ -156,6 +156,12 @@ TEST(World, RankContextNestsAndRestores) {
     EXPECT_EQ(w.rank(), 2);
   });
   EXPECT_EQ(w.rank(), 0);
+  // An ApiError thrown inside the scope restores the rank and job too.
+  EXPECT_THROW(w.run_as(3, rt::JobId{2},
+                        [] { TTG_REQUIRE(false, "thrown inside run_as"); }),
+               support::ApiError);
+  EXPECT_EQ(w.rank(), 0);
+  EXPECT_EQ(w.current_job(), rt::kDefaultJob);
 }
 
 TEST(World, BackendSelection) {
